@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from .coeffspec import OperatorSpec, check_hypotheses
-from .errors import (ConfigError, ExprSyntaxError, NumericalError,
-                     SchauderLabError, SpecError)
+from .errors import (ConfigError, ExprEvalError, ExprSyntaxError,
+                     NumericalError, SchauderLabError, SpecError)
 from .expr import evaluate, parse_expr
 from .holder import GridFn, SpaceGrid, fd_gradient, fd_hessian
 from .kernel import TimeMatrixPath
@@ -32,6 +32,9 @@ KNOWN_AUDITS = ("max_principle", "schauder", "time_holder",
                 "integral_residual", "gauge_independence", "localization",
                 "embedding")
 MODES = ("cauchy", "degenerate", "elliptic", "semigroup", "continuation")
+SOLVER_DEFAULTS = {"theta": 0.5, "lin_tol": 1e-10, "lambda_step": 0.1,
+                   "picard_tol": 1e-8, "tol_stat": 1e-8,
+                   "semigroup_duration": 1.0, "semigroup_dt": 1.0 / 64.0}
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +140,7 @@ def load_config(path):
     solver_cfg = cfg.get("solver", {})
     if not isinstance(solver_cfg, dict):
         raise ConfigError("solver section must be an object")
-    defaults = {"theta": 0.5, "lin_tol": 1e-10, "lambda_step": 0.1,
-                "picard_tol": 1e-8, "tol_stat": 1e-8,
-                "semigroup_duration": 1.0, "semigroup_dt": 1.0 / 64.0}
+    defaults = dict(SOLVER_DEFAULTS)
     for key, val in solver_cfg.items():
         if key not in defaults:
             raise ConfigError("unknown solver option", key)
@@ -410,11 +411,8 @@ def run(config_path, out_dir=".", seed=None, strict=False, verb="all"):
     try:
         cfg = load_config(config_path)
     except ConfigError as exc:
-        report = {"schema_version": SCHEMA_VERSION, "error": {
-            "kind": "config", "reason": exc.reason, "detail": str(exc)}}
-        _write_report(report, out_dir, "report.json")
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
+        report = {"schema_version": SCHEMA_VERSION}
+        return _error_exit(report, exc, out_dir, "report.json")
 
     if seed is not None:
         cfg["seed"] = seed
@@ -463,17 +461,33 @@ def run(config_path, out_dir=".", seed=None, strict=False, verb="all"):
                 report["audits"].append(payload)
                 if not audit.passed:
                     exit_code = 2
-    except (NumericalError, SpecError) as exc:
-        report["error"] = {"kind": "numerical", "reason": str(exc)}
-        _write_report(report, out_dir, report_name)
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
+    except SchauderLabError as exc:
+        return _error_exit(report, exc, out_dir, report_name)
 
-    if "plot" in out_paths:
+    if "plot" in out_paths and verb != "check":
         emit_plot_script(report, os.path.join(out_dir, out_paths["plot"]),
                          csv_name=out_paths.get("csv", "solution.csv"))
     _write_report(report, out_dir, report_name)
     return exit_code
+
+
+def _error_exit(report, exc, out_dir, report_name):
+    """Record ``exc`` in the report's ``error`` section, write the report
+    and return the exit code: 3 for an invalid config, which includes a
+    field that cannot be evaluated on the box, 4 for a numerical failure."""
+    if isinstance(exc, (ConfigError, ExprEvalError)):
+        report["error"] = {"kind": "config",
+                           "reason": getattr(exc, "reason",
+                                             "expression evaluation failed"),
+                           "detail": str(exc)}
+        code = 3
+        print(f"config error: {exc}", file=sys.stderr)
+    else:
+        report["error"] = {"kind": "numerical", "reason": str(exc)}
+        code = 4
+        print(f"numerical failure: {exc}", file=sys.stderr)
+    _write_report(report, out_dir, report_name)
+    return code
 
 
 def _prune_details(details):
@@ -510,25 +524,6 @@ def main(argv=None):
     ap.add_argument("--strict", action="store_true",
                     help="hypothesis violations become fatal")
     args = ap.parse_args(argv)
-    if args.verb == "check":
-        try:
-            cfg = load_config(args.config)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 3
-        hyp = check_hypotheses(cfg["spec"], cfg["grid"].radius, 7, 2, 4)
-        report = {"schema_version": SCHEMA_VERSION,
-                  "config_echo": cfg["raw"],
-                  "hypotheses": {"delta": hyp.delta, "bigK": hyp.bigK,
-                                 "F0": hyp.F0, "Falpha": hyp.Falpha,
-                                 "violations": len(hyp.violations),
-                                 "ok": hyp.ok},
-                  "solves": [], "audits": []}
-        _write_report(report, args.out,
-                      cfg["output"].get("report", "report.json"))
-        if args.strict and not hyp.ok:
-            return 4
-        return 0
     return run(args.config, out_dir=args.out, seed=args.seed,
                strict=args.strict, verb=args.verb)
 

@@ -190,7 +190,15 @@ class OperatorSpec:
         return np.asarray(evaluate(self.f, t, xs))
 
     def is_time_independent(self):
+        """True when no field, the data f included, has t as a free
+        variable."""
         return not any("t" in free_vars(e) for e in self.all_fields())
+
+    def coefficients_time_independent(self):
+        """True when none of a, b, c has t as a free variable, that is when
+        the operator L itself does not change in time; f may still."""
+        coeffs = [self.c, *self.b, *(e for row in self.a for e in row)]
+        return not any("t" in free_vars(e) for e in coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ class SpecError(SchauderLabError):
 
 
 class NumericalError(SchauderLabError):
-    """Numerical failure: singular accumulated diffusion, linear-solver
-    non-convergence, characteristic blow-up."""
+    """Numerical failure: singular accumulated diffusion, a singular step
+    matrix or a step solve above its residual bound, characteristic
+    blow-up."""
 
 
 class ConfigError(SchauderLabError):

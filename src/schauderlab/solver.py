@@ -6,6 +6,13 @@ exceeds one, blending back to centered elsewhere.  Time stepping is a
 theta-scheme (Crank-Nicolson by default) with coefficients sampled at the
 scheme time, and step edges inserted at every coefficient breakpoint.
 
+Each step solves (I - theta dt L) x = rhs directly, with one sparse LU
+factorization of the step matrix.  When a, b and c do not depend on t the
+operator and its factorization are built once per step length and reused
+for the whole march, whatever the data f do; otherwise each step assembles
+and factors its own matrix.  The relative residual ||A x - rhs|| / ||rhs||
+of every solve is checked against the problem's ``lin_tol``.
+
 The truncated box needs an artificial lateral boundary condition; the mode
 "dirichlet-final" evolves each boundary node by the zero-order equation
 u_t - c u = f seeded with the final value, which both reduces to the exact
@@ -126,6 +133,18 @@ def _strides(shape):
     return out
 
 
+def _interior_mask(grid):
+    """True at nodes off the box boundary."""
+    interior = np.ones(grid.shape, dtype=bool)
+    for ax in range(grid.d):
+        sl = [slice(None)] * grid.d
+        sl[ax] = 0
+        interior[tuple(sl)] = False
+        sl[ax] = grid.n - 1
+        interior[tuple(sl)] = False
+    return interior
+
+
 def build_operator_matrix(coeffs, grid, boundary_mode="dirichlet-final",
                           blend_override=None):
     """Sparse matrix of L u = a^ij D_ij u + b^i D_i u - c u on the flattened
@@ -133,7 +152,6 @@ def build_operator_matrix(coeffs, grid, boundary_mode="dirichlet-final",
     the zero-order part (-c) in "dirichlet-final" mode and are zero in
     "dirichlet-zero" mode."""
     d = grid.d
-    n = grid.n
     h = grid.h
     shape = grid.shape
     size = int(np.prod(shape))
@@ -141,13 +159,7 @@ def build_operator_matrix(coeffs, grid, boundary_mode="dirichlet-final",
     a, b, c = coeffs["a"], coeffs["b"], coeffs["c"]
 
     idx = np.arange(size).reshape(shape)
-    interior = np.ones(shape, dtype=bool)
-    for ax in range(d):
-        sl = [slice(None)] * d
-        sl[ax] = 0
-        interior[tuple(sl)] = False
-        sl[ax] = n - 1
-        interior[tuple(sl)] = False
+    interior = _interior_mask(grid)
     int_flat = idx[interior]
 
     rows, cols, vals = [], [], []
@@ -205,40 +217,36 @@ def build_operator_matrix(coeffs, grid, boundary_mode="dirichlet-final",
 
 
 class _StepSolver:
-    """Solves (I - theta dt L) x = rhs with an ILU-preconditioned iterative
-    method to a relative residual tolerance."""
+    """Direct solve of (I - theta dt L) x = rhs: one sparse LU factorization
+    of the step matrix, reused for every right-hand side.  Each solve checks
+    its relative residual ||A x - rhs|| / ||rhs|| against ``tol``.  The
+    stencils give A a sparsity pattern that is symmetric up to the boundary
+    rows, so the fill-reducing ordering is a minimum-degree ordering of
+    A^T + A; on 2-D grids it halves the fill of the default column
+    ordering."""
 
     def __init__(self, mat, tol):
         self.mat = mat.tocsr()
         self.tol = tol
-        self.iterations = 0
         try:
-            ilu = spla.spilu(mat.tocsc(), drop_tol=1e-6, fill_factor=12)
-            self.prec = spla.LinearOperator(mat.shape, ilu.solve)
-        except RuntimeError:
-            self.prec = None
+            self.lu = spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise NumericalError(f"step matrix factorization failed: {exc}")
 
-    def solve(self, rhs, x0=None):
-        count = [0]
-
-        def cb(_):
-            count[0] += 1
-
-        x, info = spla.bicgstab(self.mat, rhs, x0=x0, rtol=self.tol, atol=0.0,
-                                M=self.prec, maxiter=2000, callback=cb)
-        if info != 0:
-            x, info = spla.gmres(self.mat, rhs, x0=x0, rtol=self.tol, atol=0.0,
-                                 M=self.prec, maxiter=2000, restart=60,
-                                 callback=lambda *_: cb(None),
-                                 callback_type="pr_norm")
-            if info != 0:
-                raise NumericalError(
-                    f"linear solve did not reach relative residual {self.tol}")
-        self.iterations += count[0]
-        return x
+    def solve(self, rhs):
+        """Returns (x, relative residual)."""
+        x = self.lu.solve(rhs)
+        r_norm = float(np.linalg.norm(self.mat @ x - rhs))
+        b_norm = float(np.linalg.norm(rhs))
+        rel = r_norm / b_norm if b_norm > 0.0 else r_norm
+        if not rel <= self.tol:
+            raise NumericalError(
+                f"linear solve reached relative residual {rel:.3e}, above "
+                f"lin_tol = {self.tol:.3e}")
+        return x, rel
 
 
-def _boundary_ring_gap(values, boundary_mask, grid):
+def _boundary_ring_gap(values, grid):
     """Max |u(one node in) - u(adjacent boundary node)| over stored slices."""
     n = grid.n
     d = grid.d
@@ -264,7 +272,9 @@ def solve_cauchy(problem, f_override=None, coeff_override=None,
     the extension and continuation machinery).  ``coeff_override``: callable
     t -> coefficient dict replacing the spec's a, b, c.
     Returns the solution with its generalized time derivative filled from
-    the discrete equation, u_t = f - L u per stored slice.
+    the discrete equation, u_t = f - L u per stored slice.  ``iterations``
+    counts the step-matrix ``factorizations`` and the step ``solves`` and
+    holds ``linear_residual_max``, the worst relative residual of a solve.
     """
     spec = problem.spec
     if problem.n_trunc >= 1:
@@ -288,7 +298,7 @@ def solve_cauchy(problem, f_override=None, coeff_override=None,
     shape = grid.shape
     size = int(np.prod(shape))
 
-    t_indep = spec.is_time_independent() and coeff_override is None
+    t_indep = spec.coefficients_time_independent() and coeff_override is None
 
     def coeffs_at(t):
         if coeff_override is not None:
@@ -301,64 +311,56 @@ def solve_cauchy(problem, f_override=None, coeff_override=None,
         return np.asarray(evaluate(spec.f, t, grid.mesh()), dtype=float) \
             * np.ones(shape)
 
-    mat_cache = {}
+    def assemble(t):
+        mat, _ = build_operator_matrix(coeffs_at(t), grid,
+                                       problem.boundary_mode,
+                                       problem.blend_override)
+        return mat
+
+    const_L = assemble(T) if t_indep else None
 
     def matrix_at(t):
-        key = round(float(t), 12) if not t_indep else "const"
-        if key not in mat_cache:
-            mat_cache[key] = build_operator_matrix(
-                coeffs_at(t), grid, problem.boundary_mode,
-                problem.blend_override)
-            if len(mat_cache) > 8 and not t_indep:
-                # keep the cache bounded for strongly time-dependent runs
-                oldest = next(iter(mat_cache))
-                if oldest != key:
-                    del mat_cache[oldest]
-        return mat_cache[key]
+        return const_L if const_L is not None else assemble(t)
 
     values = np.zeros((nt,) + shape)
     values[-1] = problem.g.values
     eye = sp.identity(size, format="csr")
     theta = problem.theta
 
-    solver_cache = {}
-    total_iters = 0
+    solver_cache = {}  # step length -> factorization, constant L only
+    n_factor = 0
     n_solves = 0
+    worst_resid = 0.0
+    bnd_flat = ~_interior_mask(grid).ravel()
     zero_boundary = problem.boundary_mode == "dirichlet-zero"
 
     for k in range(nt - 2, -1, -1):
         dt = times[k + 1] - times[k]
         te = theta * times[k] + (1.0 - theta) * times[k + 1]
-        mat_L, bnd_mask = matrix_at(te)
-        key = (round(float(te), 12) if not t_indep else "const", round(float(dt), 14))
-        if key not in solver_cache:
-            a_mat = (eye - theta * dt * mat_L).tocsr()
-            solver_cache[key] = _StepSolver(a_mat, problem.lin_tol)
-            if len(solver_cache) > 8 and not t_indep:
-                oldest = next(iter(solver_cache))
-                if oldest != key:
-                    del solver_cache[oldest]
-        step = solver_cache[key]
+        mat_L = matrix_at(te)
+        key = round(float(dt), 14)
+        step = solver_cache.get(key) if t_indep else None
+        if step is None:
+            step = _StepSolver(eye - theta * dt * mat_L, problem.lin_tol)
+            n_factor += 1
+            if t_indep:
+                solver_cache[key] = step
         u_next = values[k + 1].ravel()
         rhs = u_next + (1.0 - theta) * dt * (mat_L @ u_next) - dt * f_at(te).ravel()
         if zero_boundary:
-            rhs[bnd_mask.ravel()] = 0.0
-        x = step.solve(rhs, x0=u_next.copy())
-        total_iters += step.iterations
-        step.iterations = 0
+            rhs[bnd_flat] = 0.0
+        x, rel = step.solve(rhs)
+        worst_resid = max(worst_resid, rel)
         n_solves += 1
         values[k] = x.reshape(shape)
 
     # generalized time derivative from the discrete equation
     dt_vals = np.zeros_like(values)
     for k in range(nt):
-        mat_L, bnd_mask = matrix_at(times[k])
-        dt_vals[k] = (f_at(times[k]).ravel() - mat_L @ values[k].ravel()) \
-            .reshape(shape)
+        flat = f_at(times[k]).ravel() - matrix_at(times[k]) @ values[k].ravel()
         if zero_boundary:
-            flat = dt_vals[k].ravel()
-            flat[bnd_mask.ravel()] = 0.0
-            dt_vals[k] = flat.reshape(shape)
+            flat[bnd_flat] = 0.0
+        dt_vals[k] = flat.reshape(shape)
 
     u = SpaceTimeFn(grid=grid, times=times, values=values, dt_values=dt_vals)
 
@@ -371,12 +373,12 @@ def solve_cauchy(problem, f_override=None, coeff_override=None,
     residual_report = {"sup_abs": resid, "sup_rel": resid / scale,
                        "scale": scale}
 
-    _, bnd_mask = matrix_at(times[0])
     result = SolveResult(
         u=u,
         residual_report=residual_report,
-        boundary_influence=_boundary_ring_gap(values, bnd_mask, grid),
-        iterations={"linear_total": total_iters, "solves": n_solves},
+        boundary_influence=_boundary_ring_gap(values, grid),
+        iterations={"factorizations": n_factor,
+                    "linear_residual_max": worst_resid, "solves": n_solves},
         diagnostics={"hypotheses": hyp, "time_independent": t_indep},
     )
     return result
@@ -545,7 +547,12 @@ def continuation_solve(problem, lambda_step=0.1, picard_tol=1e-8,
                             theta=problem.theta, blend_override=0.0,
                             lin_tol=problem.lin_tol)
         res = solve_cauchy(sub, f_override=rhs_callable, coeff_override=blended)
+        lin["factorizations"] += res.iterations["factorizations"]
+        lin["linear_residual_max"] = max(lin["linear_residual_max"],
+                                         res.iterations["linear_residual_max"])
         return res.u
+
+    lin = {"factorizations": 0, "linear_residual_max": 0.0}
 
     lam_prev = 0.0
     current = solve_at_level(0.0, f_expr_at)
@@ -558,7 +565,7 @@ def continuation_solve(problem, lambda_step=0.1, picard_tol=1e-8,
         factors = []
         for it in range(max_picard):
             w = _apply_gap_operator(v, coeffs_at(0.5 * (T + S)), delta) \
-                if spec.is_time_independent() else None
+                if spec.coefficients_time_independent() else None
             if w is None:
                 # time-dependent coefficients: apply per-slice at slice times
                 w = np.empty_like(v.values)
@@ -594,7 +601,7 @@ def continuation_solve(problem, lambda_step=0.1, picard_tol=1e-8,
     resid = {"sup_abs": 0.0, "sup_rel": 0.0, "scale": current.sup()}
     return SolveResult(u=current, residual_report=resid,
                        boundary_influence=0.0,
-                       iterations={"picard_total": total_picard},
+                       iterations={"picard_total": total_picard, **lin},
                        diagnostics={"contraction": contraction,
                                     "delta": delta})
 

@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from schauderlab.cli import SCHEMA_VERSION, load_config, main, run
+from schauderlab.cli import (SCHEMA_VERSION, SOLVER_DEFAULTS, load_config,
+                             main, run)
 from schauderlab.errors import ConfigError
 
 MINIMAL = {
@@ -144,3 +145,52 @@ def test_repo_sample_configs_load():
     for name in ("heat_minimal.json", "schauder_sweep.json"):
         loaded = load_config(os.path.join(here, "configs", name))
         assert loaded["spec"].alpha == 0.5
+
+
+@pytest.mark.parametrize("verb", ["all", "check"])
+def test_evaluation_error_exits_with_report(tmp_path, verb):
+    # sqrt of a negative coordinate parses but cannot be evaluated on the box
+    cfg = write_cfg(tmp_path, {"problem.c": "1+sqrt(x1)"})
+    out = str(tmp_path / "out")
+    assert main([verb, "--config", cfg, "--out", out]) in (3, 4)
+    rep = read_report(out)
+    assert rep["error"]["kind"] in ("config", "numerical")
+    assert "sqrt" in json.dumps(rep["error"])
+
+
+class _RecordingDict(dict):
+    """A JSON object that adds every key looked up in it to ``seen``."""
+
+    def __init__(self, pairs, seen):
+        super().__init__(pairs)
+        self.seen = seen
+
+    def __contains__(self, key):
+        self.seen.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+
+def test_schema_document_names_every_key(tmp_path, monkeypatch):
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(here, "docs", "config_schema.md"),
+              encoding="utf-8") as fh:
+        doc = fh.read()
+    cfg = write_cfg(tmp_path, {"boundary_mode": "dirichlet-final",
+                               "truncation_level": 0,
+                               "solver": dict(SOLVER_DEFAULTS)})
+    seen = set()
+    monkeypatch.setattr(json, "load", lambda fh: json.loads(
+        fh.read(), object_hook=lambda obj: _RecordingDict(obj, seen)))
+    load_config(cfg)
+    keys = seen | set(SOLVER_DEFAULTS)
+    assert {"schema_version", "time_window", "n_time", "suites"} <= keys
+    missing = sorted(k for k in keys if f"`{k}`" not in doc)
+    assert not missing, f"keys missing from docs/config_schema.md: {missing}"

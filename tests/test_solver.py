@@ -2,17 +2,19 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from schauderlab.coeffspec import OperatorSpec, check_hypotheses
-from schauderlab.errors import SpecError
+from schauderlab.errors import NumericalError, SpecError
 from schauderlab.expr import eval_field, parse_expr
 from schauderlab.holder import GridFn, SpaceGrid
 from schauderlab.kernel import heat_semigroup
-from schauderlab.solver import (CauchyProblem, build_operator_matrix,
-                                continuation_solve, eval_coefficients,
-                                extend_final_condition, semigroup_T,
-                                solve_cauchy, solve_degenerate_c,
+from schauderlab.solver import (CauchyProblem, _StepSolver,
+                                build_operator_matrix, continuation_solve,
+                                eval_coefficients, extend_final_condition,
+                                semigroup_T, solve_cauchy, solve_degenerate_c,
                                 solve_elliptic, truncate_coeffs)
 
 
@@ -124,6 +126,61 @@ def test_breakpoints_enter_time_grid():
     g = GridFn(grid, np.ones(grid.shape))
     res = solve_cauchy(CauchyProblem(spec=spec, g=g, grid=grid, n_time=16))
     assert np.any(np.abs(res.u.times - 0.37) < 1e-12)
+
+
+# -- step solver ----------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 2]), n=st.integers(5, 9),
+       radius=st.floats(0.5, 4.0), theta=st.floats(0.0, 1.0),
+       dt=st.floats(1e-4, 0.5), seed=st.integers(0, 2 ** 32 - 1),
+       boundary_mode=st.sampled_from(["dirichlet-final", "dirichlet-zero"]))
+def test_step_solve_matches_dense(d, n, radius, theta, dt, seed,
+                                  boundary_mode):
+    rng = np.random.default_rng(seed)
+    grid = SpaceGrid(d, radius, n)
+    shape = grid.shape
+    a = np.zeros((d, d) + shape)
+    for i in range(d):
+        a[i, i] = rng.uniform(0.5, 2.0, shape)
+    if d == 2:
+        a[0, 1] = a[1, 0] = rng.uniform(-0.25, 0.25, shape)
+    coeffs = {"a": a, "b": rng.uniform(-5.0, 5.0, (d,) + shape),
+              "c": rng.uniform(0.0, 3.0, shape)}
+    mat, _ = build_operator_matrix(coeffs, grid, boundary_mode)
+    a_mat = sp.identity(mat.shape[0], format="csr") - theta * dt * mat
+    rhs = rng.normal(size=mat.shape[0])
+    x, resid = _StepSolver(a_mat, 1e-10).solve(rhs)
+    dense = np.linalg.solve(a_mat.toarray(), rhs)
+    assert np.linalg.norm(x - dense) <= 1e-10 * np.linalg.norm(dense)
+    assert resid <= 1e-10
+
+
+def test_constant_coefficients_factor_once():
+    # f depends on t, a, b and c do not: one factorization serves every step
+    prob, spec, _ = ou_problem(n=65, n_time=32)
+    assert not spec.is_time_independent()
+    assert spec.coefficients_time_independent()
+    it = solve_cauchy(prob).iterations
+    assert it["factorizations"] == 1
+    assert it["solves"] == 32
+    assert 0.0 <= it["linear_residual_max"] <= prob.lin_tol
+
+
+def test_time_dependent_coefficients_factor_every_step():
+    spec = spec_1d(c="1+t", f="exp(-x1^2)")
+    grid = SpaceGrid(1, 4.0, 33)
+    g = GridFn(grid, np.zeros(grid.shape))
+    it = solve_cauchy(CauchyProblem(spec=spec, g=g, grid=grid,
+                                    n_time=16)).iterations
+    assert it["factorizations"] == it["solves"] == 16
+
+
+def test_lin_tol_is_checked():
+    prob, _, _ = ou_problem(n=65, n_time=8)
+    prob.lin_tol = 1e-300
+    with pytest.raises(NumericalError):
+        solve_cauchy(prob)
 
 
 # -- M-matrix mode ------------------------------------------------------------
@@ -257,6 +314,26 @@ def test_continuation_contraction_scales_with_step():
     small = worst_factor(0.25)
     assert small < 1.0 and big < 1.0
     assert 0.25 <= small / big <= 0.85  # roughly linear in the step
+
+
+def test_continuation_data_time_dependence_keeps_slicewise_result():
+    # with t only in f the gap operator is applied once; adding a zero
+    # multiple of t to a forces the slice-by-slice route it replaces
+    fields = dict(a="1+0.3*sin(x1)", b="sin(x1)", c="1+0.5*cos(x1)",
+                  f="exp(-x1^2)*(1+0.5*sin(3*t))")
+    once = spec_1d(**fields)
+    sliced = spec_1d(**dict(fields, a="1+0.3*sin(x1)+0*t"))
+    assert once.coefficients_time_independent()
+    assert not sliced.coefficients_time_independent()
+    grid = SpaceGrid(1, 6.0, 65)
+    g = GridFn(grid, np.zeros(grid.shape))
+    sols = [continuation_solve(CauchyProblem(spec=s, g=g, grid=grid,
+                                             n_time=16),
+                               lambda_step=0.5, picard_tol=1e-6)
+            for s in (once, sliced)]
+    scale = np.max(np.abs(sols[1].u.values))
+    assert np.max(np.abs(sols[0].u.values - sols[1].u.values)) <= 1e-12 * scale
+    assert sols[0].iterations == sols[1].iterations
 
 
 def test_continuation_requires_zero_final_condition():
