@@ -19,7 +19,7 @@ import numpy as np
 from .coeffspec import OperatorSpec, check_hypotheses
 from .errors import (ConfigError, ExprEvalError, ExprSyntaxError,
                      NumericalError, SchauderLabError, SpecError)
-from .expr import evaluate, parse_expr
+from .expr import parse_expr
 from .holder import GridFn, SpaceGrid, fd_gradient, fd_hessian
 from .kernel import TimeMatrixPath
 from .solver import (CauchyProblem, EllipticResult, continuation_solve,
@@ -178,9 +178,7 @@ def load_config(path):
 def _final_condition(cfg):
     grid = cfg["grid"]
     spec = cfg["spec"]
-    vals = np.asarray(evaluate(cfg["g_node"], spec.time_window[1],
-                               grid.mesh())) * np.ones(grid.shape)
-    return GridFn(grid, vals)
+    return GridFn(grid, grid.field(cfg["g_node"], spec.time_window[1]))
 
 
 def _cauchy_problem(cfg):

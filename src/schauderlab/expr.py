@@ -26,13 +26,12 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .errors import ExprEvalError, ExprSyntaxError, SpecError
+from .errors import ExprEvalError, ExprSyntaxError
 
 __all__ = [
     "Num", "Var", "Unary", "Binary", "Call", "ExprNode",
-    "parse_expr", "to_string", "eval_field", "evaluate",
-    "free_vars", "depends_on_t", "max_x_index",
-    "num", "var", "add", "sub", "mul", "div", "pow_", "neg", "call", "clamp",
+    "parse_expr", "to_string", "eval_field", "evaluate", "GridField",
+    "free_vars", "max_x_index", "num", "neg", "call", "clamp",
 ]
 
 VARIABLES = ("t", "x1", "x2", "x3")
@@ -77,32 +76,6 @@ ExprNode = Union[Num, Var, Unary, Binary, Call]
 
 def num(v):
     return Num(float(v))
-
-
-def var(name):
-    if name not in VARIABLES:
-        raise SpecError(f"unknown variable {name!r}")
-    return Var(name)
-
-
-def add(a, b):
-    return Binary("+", a, b)
-
-
-def sub(a, b):
-    return Binary("-", a, b)
-
-
-def mul(a, b):
-    return Binary("*", a, b)
-
-
-def div(a, b):
-    return Binary("/", a, b)
-
-
-def pow_(a, b):
-    return Binary("^", a, b)
 
 
 def neg(a):
@@ -334,6 +307,73 @@ def _check(arr, node, what="non-finite result"):
     return arr
 
 
+def _children(n):
+    if isinstance(n, (Num, Var)):
+        return ()
+    if isinstance(n, Unary):
+        return (n.arg,)
+    if isinstance(n, Binary):
+        return (n.lhs, n.rhs)
+    if isinstance(n, Call):
+        return n.args
+    raise TypeError(f"not an ExprNode: {n!r}")
+
+
+def _apply(n, args, shape):
+    """Value of the operator node ``n`` from the values of its children,
+    which broadcast to ``shape``.  Domain errors and non-finite results
+    raise ExprEvalError naming ``n``."""
+    if isinstance(n, Unary):
+        return -args[0]
+    if isinstance(n, Binary):
+        a, b = args
+        if n.op == "+":
+            return _check(a + b, n)
+        if n.op == "-":
+            return _check(a - b, n)
+        if n.op == "*":
+            return _check(a * b, n)
+        if n.op == "/":
+            if np.any(b == 0.0):
+                raise ExprEvalError("division by zero", to_string(n))
+            return _check(a / b, n)
+        if n.op == "^":
+            # numpy computes x^2, x^0.5 and x^-1 with a stride-0 exponent by
+            # other routines than pow, which differ in the last bit; full
+            # operands give every caller the same pow
+            if a.shape != shape:
+                a = np.broadcast_to(a, shape).copy()
+            if b.shape != shape:
+                b = np.broadcast_to(b, shape).copy()
+            with np.errstate(invalid="ignore", over="ignore",
+                             divide="ignore"):
+                out = np.power(a, b)
+            return _check(out, n, "invalid power (negative base with "
+                                  "fractional exponent, or overflow)")
+    if isinstance(n, Call):
+        fn = n.fn
+        if fn == "exp":
+            with np.errstate(over="ignore"):
+                return _check(np.exp(args[0]), n, "exp overflow")
+        if fn == "sin":
+            return np.sin(args[0])
+        if fn == "cos":
+            return np.cos(args[0])
+        if fn == "abs":
+            return np.abs(args[0])
+        if fn == "sqrt":
+            if np.any(args[0] < 0.0):
+                raise ExprEvalError("sqrt of negative number", to_string(n))
+            return np.sqrt(args[0])
+        if fn == "step":
+            return np.where(args[0] >= 0.0, 1.0, 0.0)
+        if fn == "min":
+            return np.minimum(args[0], args[1])
+        if fn == "max":
+            return np.maximum(args[0], args[1])
+    raise TypeError(f"not an ExprNode: {n!r}")
+
+
 def evaluate(node, t, xs):
     """Evaluate ``node`` at time ``t`` and spatial coordinates ``xs``.
 
@@ -359,52 +399,70 @@ def evaluate(node, t, xs):
                 raise ExprEvalError(
                     f"variable {n.name} outside dimension {len(x_arrs)}", n.name)
             return np.broadcast_to(x_arrs[idx], shape).astype(float)
-        if isinstance(n, Unary):
-            return -ev(n.arg)
-        if isinstance(n, Binary):
-            a = ev(n.lhs)
-            b = ev(n.rhs)
-            if n.op == "+":
-                return _check(a + b, n)
-            if n.op == "-":
-                return _check(a - b, n)
-            if n.op == "*":
-                return _check(a * b, n)
-            if n.op == "/":
-                if np.any(b == 0.0):
-                    raise ExprEvalError("division by zero", to_string(n))
-                return _check(a / b, n)
-            if n.op == "^":
-                with np.errstate(invalid="ignore", over="ignore",
-                                 divide="ignore"):
-                    out = np.power(a, b)
-                return _check(out, n, "invalid power (negative base with "
-                                      "fractional exponent, or overflow)")
-        if isinstance(n, Call):
-            args = [ev(a) for a in n.args]
-            fn = n.fn
-            if fn == "exp":
-                with np.errstate(over="ignore"):
-                    return _check(np.exp(args[0]), n, "exp overflow")
-            if fn == "sin":
-                return np.sin(args[0])
-            if fn == "cos":
-                return np.cos(args[0])
-            if fn == "abs":
-                return np.abs(args[0])
-            if fn == "sqrt":
-                if np.any(args[0] < 0.0):
-                    raise ExprEvalError("sqrt of negative number", to_string(n))
-                return np.sqrt(args[0])
-            if fn == "step":
-                return np.where(args[0] >= 0.0, 1.0, 0.0)
-            if fn == "min":
-                return np.minimum(args[0], args[1])
-            if fn == "max":
-                return np.maximum(args[0], args[1])
-        raise TypeError(f"not an ExprNode: {n!r}")
+        return _apply(n, [ev(k) for k in _children(n)], shape)
 
     return ev(node)
+
+
+_TIME = object()  # the variable t in a GridField spine
+
+
+class GridField:
+    """Expression ``node`` on the mesh of ``grid`` as a function of t.
+
+    Built once per (node, grid): each maximal subtree that does not read t
+    is evaluated once on the mesh by ``evaluate`` and kept, as one value when
+    it reads no x either.  A call walks only the spine of nodes that read t,
+    with t as a 0-d array, and returns a new array of shape ``grid.shape``
+    equal bit for bit to ``evaluate(node, t, grid.mesh())`` broadcast to the
+    grid.  On an ExprEvalError, while building or in a call, it falls back
+    to ``evaluate`` itself, so errors and their messages are the tree walk's.
+    """
+
+    def __init__(self, node, grid):
+        self.node = node
+        self.mesh = grid.mesh()
+        self.shape = grid.shape
+        try:
+            spine = self._spine(node)
+            self.plan = self._hoist(node) if spine is None else spine
+        except ExprEvalError:
+            self.plan = None
+
+    def _hoist(self, n):
+        value = evaluate(n, 0.0, self.mesh)
+        return np.asarray(value.flat[0]) if max_x_index(n) == 0 else value
+
+    def _spine(self, n):
+        """None when ``n`` does not read t; otherwise _TIME for t itself, or
+        (n, plans of its children) with each t-free child's value in place
+        of its plan."""
+        if isinstance(n, Var) and n.name == "t":
+            return _TIME
+        kids = _children(n)
+        plans = [self._spine(k) for k in kids]
+        if all(p is None for p in plans):
+            return None
+        return (n, [self._hoist(k) if p is None else p
+                    for k, p in zip(kids, plans)])
+
+    def _walk(self, plan, t):
+        if type(plan) is tuple:
+            n, kids = plan
+            return _apply(n, [self._walk(k, t) for k in kids], self.shape)
+        return t if plan is _TIME else plan
+
+    def __call__(self, t):
+        t = np.asarray(float(t))
+        out = np.empty(self.shape)
+        if self.plan is not None:
+            try:
+                out[...] = self._walk(self.plan, t)
+                return out
+            except ExprEvalError:
+                pass
+        out[...] = evaluate(self.node, t, self.mesh)
+        return out
 
 
 def eval_field(node, t, x):
@@ -431,10 +489,6 @@ def free_vars(node):
             out |= free_vars(a)
         return out
     raise TypeError(f"not an ExprNode: {node!r}")
-
-
-def depends_on_t(node):
-    return "t" in free_vars(node)
 
 
 def max_x_index(node):

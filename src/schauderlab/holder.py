@@ -11,12 +11,14 @@ an interpolating shift) and are skipped by all scans.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .coeffspec import pair_directions
 from .errors import SpecError
+from .expr import GridField
 
 __all__ = [
     "SpaceGrid", "GridFn", "SpaceTimeFn", "HolderReport", "ConeSpec",
@@ -25,6 +27,8 @@ __all__ = [
     "check_interpolation", "cone_directions", "cone_matrix_bound",
     "cone_entry_bounds", "embedding_check", "EmbeddingRow",
 ]
+
+_MAX_FIELDS = 32  # expression evaluators a SpaceGrid keeps
 
 
 @dataclass(frozen=True)
@@ -54,9 +58,34 @@ class SpaceGrid:
     def axis(self):
         return np.linspace(-self.radius, self.radius, self.n)
 
+    @cached_property
+    def _mesh(self):
+        mesh = np.meshgrid(*([self.axis()] * self.d), indexing="ij")
+        for m in mesh:
+            m.flags.writeable = False
+        return mesh
+
+    @cached_property
+    def _fields(self):
+        return {}
+
     def mesh(self):
-        """Coordinate arrays x1..xd, each of shape ``self.shape``."""
-        return np.meshgrid(*([self.axis()] * self.d), indexing="ij")
+        """Coordinate arrays x1..xd, each of shape ``self.shape``; built once
+        per grid and read-only."""
+        return self._mesh
+
+    def field(self, node, t):
+        """Expression ``node`` at time ``t`` on every grid node: a new array
+        of shape ``self.shape`` equal to ``evaluate(node, t, self.mesh())``
+        broadcast to it, with the same errors.  The grid keeps the
+        evaluators (GridField) of up to _MAX_FIELDS expressions."""
+        fields = self._fields
+        fn = fields.get(node)
+        if fn is None:
+            if len(fields) >= _MAX_FIELDS:
+                fields.clear()
+            fn = fields[node] = GridField(node, self)
+        return fn(t)
 
     def nearest_index(self, point):
         pt = np.atleast_1d(np.asarray(point, dtype=float))
@@ -133,12 +162,6 @@ class SpaceTimeFn:
         if self.dt_values is None:
             raise SpecError("no stored time derivative")
         return GridFn(self.grid, self.dt_values[k])
-
-    def index_of_time(self, t, tol=1e-9):
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > tol * max(1.0, abs(t)):
-            raise SpecError(f"time {t} is not a stored slice")
-        return k
 
     def nearest_time_index(self, t):
         return int(np.argmin(np.abs(self.times - t)))

@@ -132,22 +132,32 @@ def _canonical_edges(path, lo, hi, dt_quad):
 
 class _Cumulative:
     """F(tau) = integral of a from 0 to tau by composite midpoint on the
-    canonical cell lattice; A(s,t) = F(t) - F(s)."""
+    canonical cell lattice; A(s,t) = F(t) - F(s).
+
+    The lattice is built past the requested top ``hi``: each time ``hi``
+    rises beyond it, it is rebuilt over twice the requested span, so a
+    rising sequence of times rebuilds it O(log) times.  Edges and cumulative
+    sums below ``hi`` do not depend on how far the lattice reaches, and the
+    last cell below ``hi`` stretches to ``hi`` as on a lattice built for the
+    requested range alone, so F does not depend on the headroom."""
 
     def __init__(self, path, dt_quad):
         self.path = path
         self.dt = float(dt_quad)
         self.lo = 0.0
         self.hi = 0.0
+        self.top = 0.0
         self.edges = np.array([0.0])
         self.cum = np.zeros((1, path.d, path.d))
 
     def _ensure(self, lo, hi):
-        lo = min(lo, self.lo)
-        hi = max(hi, self.hi)
-        if lo >= self.lo and hi <= self.hi and len(self.edges) > 1:
+        self.hi = max(hi, self.hi)
+        if lo >= self.lo and self.hi <= self.top:
             return
-        edges = _canonical_edges(self.path, lo, hi, self.dt)
+        self.lo = min(lo, self.lo)
+        if self.hi > self.top:
+            self.top = self.hi + (self.hi - self.lo)
+        edges = _canonical_edges(self.path, self.lo, self.top, self.dt)
         mids = 0.5 * (edges[:-1] + edges[1:])
         widths = edges[1:] - edges[:-1]
         vals = self.path.eval(mids)                      # (d, d, m)
@@ -157,14 +167,15 @@ class _Cumulative:
         # shift so that F(0) = 0
         k0 = int(np.searchsorted(edges, 0.0))
         cum -= cum[k0]
-        self.lo, self.hi = lo, hi
         self.edges, self.cum = edges, cum
 
     def value(self, tau):
         tau = float(tau)
         self._ensure(min(tau, 0.0) - 1e-9, max(tau, 0.0) + 1e-9)
+        last = int(np.searchsorted(self.edges, self.hi + 1e-12,
+                                   side="right")) - 2
         i = int(np.searchsorted(self.edges, tau, side="right")) - 1
-        i = min(max(i, 0), len(self.edges) - 2)
+        i = max(min(i, last), 0)
         base = self.cum[i]
         lo_edge = self.edges[i]
         w = tau - lo_edge
@@ -310,8 +321,7 @@ def _field_slice(f, t, grid, d):
     """Evaluate a time slice of ``f`` on the grid; f may be an expression,
     a callable t -> array, or a SpaceTimeFn (linear interpolation in t)."""
     if isinstance(f, _NODE_TYPES):
-        mesh = grid.mesh()
-        vals = np.asarray(evaluate(f, t, mesh)) * np.ones(grid.shape)
+        vals = grid.field(f, t)
     elif isinstance(f, SpaceTimeFn):
         times = f.times
         if t <= times[0]:

@@ -17,7 +17,6 @@ import numpy as np
 from .characteristics import cutoff_eta, flow, freeze, particular_u0
 from .coeffspec import check_hypotheses
 from .errors import NumericalError, SpecError
-from .expr import evaluate
 from .holder import (GridFn, SpaceTimeFn, embedding_check, fd_gradient,
                      fd_hessian, holder_seminorm, holder_seminorm_stack,
                      norm_2alpha)
@@ -272,11 +271,10 @@ def audit_integral_residual(result, spec, threshold=0.01, margin=1,
     u = result.u
     nt = len(u.times)
     grid = u.grid
-    mesh = grid.mesh()
     integrand = np.empty_like(u.values)
     for k, t in enumerate(u.times):
         coeffs = eval_coefficients(spec, grid, float(t))
-        f_slice = np.asarray(evaluate(spec.f, float(t), mesh)) * np.ones(grid.shape)
+        f_slice = grid.field(spec.f, float(t))
         integrand[k] = f_slice - _fd_apply_operator(spec, u, k, coeffs)
     cum = np.zeros_like(u.values)
     dt = np.diff(u.times).reshape((-1,) + (1,) * grid.d)
@@ -437,7 +435,6 @@ def audit_localization(spec, result, eps, report, threshold=0.05,
     du0 = f0_t + c0_t * u0
 
     eta = cutoff_eta(path, eps, grid, times=u.times)
-    mesh = grid.mesh()
 
     sup_resid = 0.0
     sup_dev = 0.0
@@ -459,7 +456,7 @@ def audit_localization(spec, result, eps, report, threshold=0.05,
         lhs = v_t + l0v
 
         coeffs = eval_coefficients(spec, grid, t)
-        f_slice = np.asarray(evaluate(spec.f, t, mesh)) * np.ones(grid.shape)
+        f_slice = grid.field(spec.f, t)
         lu = _fd_apply_operator(spec, u, k, coeffs)
         hess_u = fd_hessian(u.slice_fn(k))
         grads_u = fd_gradient(u.slice_fn(k))

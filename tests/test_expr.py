@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from schauderlab.errors import ExprEvalError, ExprSyntaxError
 from schauderlab.expr import (Binary, Call, Num, Unary, Var, eval_field,
                               evaluate, free_vars, parse_expr, to_string)
+from schauderlab.holder import SpaceGrid
 
 
 def test_precedence_basic():
@@ -100,7 +101,7 @@ _leaf = st.one_of(
 
 
 def _nodes(children):
-    unary_fns = st.sampled_from(["exp", "sin", "cos", "abs", "step"])
+    unary_fns = st.sampled_from(["exp", "sin", "cos", "abs", "sqrt", "step"])
     return st.one_of(
         st.tuples(st.sampled_from("+-*/"), children, children)
         .map(lambda t: Binary(t[0], t[1], t[2])),
@@ -133,3 +134,39 @@ def test_printed_form_evaluates_identically(ast):
     except ExprEvalError:
         return
     assert eval_field(reparsed, t, xs) == ref
+
+
+# -- grid evaluator against the tree walk -------------------------------------
+
+_grid_leaf = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]).map(Num),
+    st.floats(min_value=-3, max_value=3, allow_nan=False,
+              allow_infinity=False).map(lambda v: Num(float(v))),
+    st.sampled_from(["t", "x1", "x2"]).map(Var),
+)
+_times = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                   st.floats(min_value=-4, max_value=4, allow_nan=False,
+                             allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_grid_leaf, _nodes, max_leaves=12),
+       st.lists(_times, min_size=1, max_size=3), st.sampled_from([5, 6]))
+@example(parse_expr("(x1*t)^2 + (x2+t)^-1 + (x1^2+t)^0.5"), [0.7, 1.3], 5)
+def test_grid_field_matches_tree_walk(ast, times, n):
+    # one evaluator per (ast, grid), called at several times: the same bits
+    # as the tree walk, or the same error message; the explicit example has
+    # the exponents numpy special-cases when they are scalars
+    grid = SpaceGrid(2, 2.0, n)
+    with np.errstate(all="ignore"):
+        for t in times:
+            try:
+                want = evaluate(ast, t, grid.mesh()) * np.ones(grid.shape)
+            except ExprEvalError as exc:
+                with pytest.raises(ExprEvalError) as got:
+                    grid.field(ast, t)
+                assert str(got.value) == str(exc)
+                continue
+            got = grid.field(ast, t)
+            assert got.shape == grid.shape
+            assert got.tobytes() == want.tobytes()

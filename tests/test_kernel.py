@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from schauderlab import kernel
 from schauderlab.errors import NumericalError, SpecError
 from schauderlab.expr import parse_expr
 from schauderlab.holder import GridFn, SpaceGrid, SpaceTimeFn, holder_seminorm
@@ -66,6 +67,24 @@ def test_additivity_to_rounding():
         whole = accumulate_A(path, s, t).A
         parts = accumulate_A(path, s, r).A + accumulate_A(path, r, t).A
         assert np.max(np.abs(whole - parts)) <= 1e-12
+
+
+def test_rising_times_rebuild_lattice_rarely(monkeypatch):
+    # the cumulative lattice grows with headroom, and A(s, t) from the warm
+    # cache equals a fresh cache's bit for bit
+    path = TimeMatrixPath.make(1, [["(1.5+0.5*sin(3*t))*(1+step(t-0.7))"]],
+                               [0.7])
+    builds = []
+    build = kernel._canonical_edges
+    monkeypatch.setattr(kernel, "_canonical_edges",
+                        lambda *args: builds.append(args) or build(*args))
+    monkeypatch.setattr(kernel, "_CUM_CACHE", {})
+    ts = np.linspace(0.01, 2.5, 300)
+    warm = [accumulate_A(path, 0.4 * t, t).A for t in ts]
+    assert len(builds) <= np.log2(ts[-1] / ts[0]) + 2
+    for t, a_warm in zip(ts, warm):
+        kernel._CUM_CACHE.clear()
+        assert accumulate_A(path, 0.4 * t, t).A.tobytes() == a_warm.tobytes()
 
 
 def test_accumulated_bounds():

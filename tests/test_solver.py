@@ -382,6 +382,17 @@ def test_semigroup_identity_at_zero():
     assert np.array_equal(out.values, g.values)
 
 
+def test_semigroup_ignores_time_dependent_data():
+    # T_t g solves with f = 0, so a t-dependent f is no reason to refuse
+    grid = SpaceGrid(1, 6.0, 65)
+    g = GridFn.from_callable(grid, lambda x: np.exp(-x ** 2))
+    with_f = semigroup_T(spec_1d(b="-x1", f="exp(-x1^2)*t"), g, 0.5, grid)
+    no_f = semigroup_T(spec_1d(b="-x1"), g, 0.5, grid)
+    assert np.array_equal(with_f.values, no_f.values)
+    with pytest.raises(SpecError):
+        semigroup_T(spec_1d(b="-x1", c="1+t"), g, 0.5, grid)
+
+
 def test_semigroup_contracts_and_composes():
     spec = spec_1d(b="-x1", c="1")
     grid = SpaceGrid(1, 8.0, 129)
