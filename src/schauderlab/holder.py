@@ -22,7 +22,7 @@ from .expr import GridField
 
 __all__ = [
     "SpaceGrid", "GridFn", "SpaceTimeFn", "HolderReport", "ConeSpec",
-    "fd_gradient", "fd_hessian", "fd_laplacian",
+    "fd_gradient", "fd_hessian", "fd_laplacian", "apply_operator",
     "holder_seminorm", "holder_seminorm_stack", "norm_2alpha", "alpha_norm",
     "check_interpolation", "cone_directions", "cone_matrix_bound",
     "cone_entry_bounds", "embedding_check", "EmbeddingRow",
@@ -166,6 +166,18 @@ class SpaceTimeFn:
     def nearest_time_index(self, t):
         return int(np.argmin(np.abs(self.times - t)))
 
+    def at(self, t):
+        """Slice at time ``t`` as a new array: linear in t between stored
+        times, held at the first or last slice outside them."""
+        times = self.times
+        if t <= times[0]:
+            return self.values[0].copy()
+        if t >= times[-1]:
+            return self.values[-1].copy()
+        k = int(np.searchsorted(times, t, side="right")) - 1
+        w = (t - times[k]) / (times[k + 1] - times[k])
+        return (1.0 - w) * self.values[k] + w * self.values[k + 1]
+
     def sup(self):
         return float(np.nanmax(np.abs(self.values))) if self.values.size else 0.0
 
@@ -215,6 +227,26 @@ def fd_laplacian(fn):
     for i in range(d):
         out += _second_diff(fn.values, fn.grid.h, i)
     return GridFn(fn.grid, out)
+
+
+def apply_operator(fn, a, b=None, c=None):
+    """L u = a^ij D_ij u + b^i D_i u - c u as an array, by the stencils of
+    fd_hessian and fd_gradient at every node, boundary nodes included.  The
+    drift and potential terms are skipped when ``b`` or ``c`` is None.
+
+    ``a[i, j]``, ``b[i]`` and ``c`` are scalars or arrays that broadcast
+    against the grid, so coefficient sets stacked on an axis after the
+    component axes give one result per set from a single set of stencils.
+    """
+    d = fn.grid.d
+    hess = fd_hessian(fn)
+    out = sum(a[i, j] * hess[i][j].values for i in range(d) for j in range(d))
+    if b is not None:
+        grads = fd_gradient(fn)
+        out += sum(b[i] * grads[i].values for i in range(d))
+    if c is not None:
+        out -= c * fn.values
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +339,17 @@ def _pair_scan_exact(stack, grid, alpha, max_dist):
 def holder_seminorm(fn, alpha, max_dist=1.0, method="structured"):
     """Estimate the Holder-alpha seminorm of a grid function over pairs with
     |x - y| <= max_dist (0/0 counts as 0)."""
-    if not (0.0 < alpha < 1.0):
-        raise SpecError(f"alpha must lie in (0, 1), got {alpha}")
-    stack = fn.values[None]
-    if method == "structured":
-        return _pair_scan(stack, fn.grid, alpha, max_dist)
-    if method == "exact":
-        return _pair_scan_exact(stack, fn.grid, alpha, max_dist)
-    raise SpecError(f"unknown seminorm method {method!r}")
+    return holder_seminorm_stack([fn], alpha, max_dist, method)
 
 
 def holder_seminorm_stack(fns, alpha, max_dist=1.0, method="structured"):
     """Seminorm of a vector- or matrix-valued function given as component
     GridFns; differences are measured in the Euclidean (Frobenius) norm."""
     fns = list(fns)
+    if not fns:
+        raise SpecError("Holder seminorm needs at least one component")
+    if not (0.0 < alpha < 1.0):
+        raise SpecError(f"alpha must lie in (0, 1), got {alpha}")
     grid = fns[0].grid
     stack = np.stack([f.values for f in fns])
     if method == "structured":

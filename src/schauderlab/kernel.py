@@ -13,10 +13,10 @@ import numpy as np
 from scipy import ndimage
 from scipy.integrate import quad
 
-from .coeffspec import sym_eigvals
+from .coeffspec import _as_node, sym_eigvals
 from .errors import NumericalError, SpecError
 from .expr import (Binary, Call, ExprNode, Num, Unary, Var, evaluate,
-                   max_x_index, parse_expr, to_string)
+                   max_x_index, to_string)
 
 _NODE_TYPES = (Num, Var, Unary, Binary, Call)
 from .holder import GridFn, SpaceGrid, SpaceTimeFn, fd_laplacian
@@ -26,10 +26,6 @@ __all__ = [
     "kernel_on_grid", "potential_G", "fourier_oracle_1d", "heat_semigroup",
     "mollify", "heat_solve", "bump_normalizer",
 ]
-
-
-def _as_node(e):
-    return parse_expr(e) if isinstance(e, str) else e
 
 
 @dataclass(frozen=True)
@@ -323,16 +319,7 @@ def _field_slice(f, t, grid, d):
     if isinstance(f, _NODE_TYPES):
         vals = grid.field(f, t)
     elif isinstance(f, SpaceTimeFn):
-        times = f.times
-        if t <= times[0]:
-            vals = f.values[0].copy()
-        elif t >= times[-1]:
-            vals = f.values[-1].copy()
-        else:
-            k = int(np.searchsorted(times, t, side="right")) - 1
-            k = min(k, len(times) - 2)
-            w = (t - times[k]) / (times[k + 1] - times[k])
-            vals = (1.0 - w) * f.values[k] + w * f.values[k + 1]
+        vals = f.at(t)
     elif callable(f):
         vals = np.asarray(f(t), dtype=float) * np.ones(grid.shape)
     else:

@@ -24,7 +24,7 @@ boundary nodes to zero instead.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -33,11 +33,12 @@ import scipy.sparse.linalg as spla
 
 from .coeffspec import OperatorSpec, check_hypotheses
 from .errors import NumericalError, SpecError
+from .expr import Binary, Call, Num, Var, clamp
 # evaluate is not called here, but perfbench's tracer self-test patches
 # it under this name
-from .expr import clamp, evaluate  # noqa: F401
-from .holder import (GridFn, SpaceGrid, SpaceTimeFn, alpha_norm, fd_gradient,
-                     fd_hessian, fd_laplacian, norm_2alpha)
+from .expr import evaluate  # noqa: F401
+from .holder import (GridFn, SpaceGrid, SpaceTimeFn, alpha_norm,
+                     apply_operator, fd_laplacian, norm_2alpha)
 from .kernel import heat_solve
 
 __all__ = [
@@ -122,6 +123,24 @@ def eval_coefficients(spec, grid, t):
     b = np.array([grid.field(bi, t) for bi in spec.b])
     c = grid.field(spec.c, t)
     return {"a": a, "b": b, "c": c}
+
+
+def _heat_coefficients(grid, delta):
+    """Coefficient arrays of Lap - delta: identity diffusion, no drift and
+    the constant potential delta."""
+    d = grid.d
+    eye = np.array([[np.ones(grid.shape) if i == j else np.zeros(grid.shape)
+                     for j in range(d)] for i in range(d)])
+    return {"a": eye, "b": np.zeros((d,) + grid.shape),
+            "c": np.full(grid.shape, delta)}
+
+
+def _stack_coefficients(first, second):
+    """Two coefficient dicts stacked on one axis, so that one apply_operator
+    call applies both operators from a single set of stencils."""
+    return (np.stack([first["a"], second["a"]], axis=2),
+            np.stack([first["b"], second["b"]], axis=1),
+            np.stack([first["c"], second["c"]]))
 
 
 def _strides(shape):
@@ -398,11 +417,7 @@ def extend_final_condition(spec, f, g, S, delta):
         grid = g.grid
         if t <= _S:
             return eval_coefficients(_spec, grid, t)
-        d = _spec.d
-        eye = np.array([[np.ones(grid.shape) if i == j else np.zeros(grid.shape)
-                         for j in range(d)] for i in range(d)])
-        return {"a": eye, "b": np.zeros((d,) + grid.shape),
-                "c": np.full(grid.shape, _delta)}
+        return _heat_coefficients(grid, _delta)
 
     def f_at(t, _spec=spec, _S=float(S), _delta=float(delta)):
         if t <= _S:
@@ -418,7 +433,6 @@ def solve_degenerate_c(problem, delta_shift=1.0):
     undo the substitution with v(t, .) = exp(S - t) u(t, .)."""
     spec = problem.spec
     T, S = spec.time_window
-    from .expr import Binary, Call, Num, Var
     c_shifted = Binary("+", spec.c, Num(float(delta_shift)))
     f_scaled = Binary("*", spec.f,
                       Call("exp", (Binary("-", Var("t"), Num(float(S))),)))
@@ -455,24 +469,6 @@ def _frak_norm(u, alpha):
     return worst_dt + worst_u
 
 
-def _apply_gap_operator(v, coeffs, delta):
-    """((Lap - delta) - L) v per stored slice, by centered stencils."""
-    grid = v.grid
-    d = grid.d
-    out = np.empty_like(v.values)
-    for k in range(len(v.times)):
-        fn = v.slice_fn(k)
-        hess = fd_hessian(fn)
-        grads = fd_gradient(fn)
-        lap = sum(hess[i][i].values for i in range(d))
-        a, b, c = coeffs["a"], coeffs["b"], coeffs["c"]
-        lu = sum(a[i, j] * hess[i][j].values for i in range(d) for j in range(d))
-        lu += sum(b[i] * grads[i].values for i in range(d))
-        lu -= c * fn.values
-        out[k] = (lap - delta * fn.values) - lu
-    return out
-
-
 def continuation_solve(problem, lambda_step=0.1, picard_tol=1e-8,
                        max_picard=40, delta=None, heat_n_time_sub=8):
     """March lambda from 0 to 1 through the operator family
@@ -504,15 +500,13 @@ def continuation_solve(problem, lambda_step=0.1, picard_tol=1e-8,
     def f_expr_at(t):
         return grid.field(spec.f, t)
 
-    def interp_slices(arr, t):
-        if t <= times[0]:
-            return arr[0]
-        if t >= times[-1]:
-            return arr[-1]
-        k = int(np.searchsorted(times, t, side="right")) - 1
-        k = min(k, len(times) - 2)
-        w = (t - times[k]) / (times[k + 1] - times[k])
-        return (1.0 - w) * arr[k] + w * arr[k + 1]
+    # Lap - delta stacked with L at each slice time, for the gap operator
+    heat = _heat_coefficients(grid, delta)
+    if spec.coefficients_time_independent():
+        gap_coeffs = [_stack_coefficients(heat, coeffs_at(0.5 * (T + S)))] \
+            * len(times)
+    else:
+        gap_coeffs = [_stack_coefficients(heat, coeffs_at(t)) for t in times]
 
     n_levels = int(np.ceil(1.0 / lambda_step - 1e-12))
     lambdas = [min(1.0, (k + 1) * lambda_step) for k in range(n_levels)]
@@ -528,10 +522,7 @@ def continuation_solve(problem, lambda_step=0.1, picard_tol=1e-8,
 
         def blended(t):
             cc = coeffs_at(t)
-            d = grid.d
-            eye = np.array([[np.ones(grid.shape) if i == j else np.zeros(grid.shape)
-                             for j in range(d)] for i in range(d)])
-            return {"a": lam0 * cc["a"] + (1.0 - lam0) * eye,
+            return {"a": lam0 * cc["a"] + (1.0 - lam0) * heat["a"],
                     "b": lam0 * cc["b"],
                     "c": lam0 * cc["c"] + (1.0 - lam0) * delta}
 
@@ -558,18 +549,14 @@ def continuation_solve(problem, lambda_step=0.1, picard_tol=1e-8,
         prev_diff = None
         factors = []
         for it in range(max_picard):
-            w = _apply_gap_operator(v, coeffs_at(0.5 * (T + S)), delta) \
-                if spec.coefficients_time_independent() else None
-            if w is None:
-                # time-dependent coefficients: apply per-slice at slice times
-                w = np.empty_like(v.values)
-                for k, t in enumerate(times):
-                    sl = SpaceTimeFn(grid=grid, times=np.array([0.0, 1.0]),
-                                     values=np.stack([v.values[k], v.values[k]]))
-                    w[k] = _apply_gap_operator(sl, coeffs_at(t), delta)[0]
+            w = SpaceTimeFn(grid=grid, times=times,
+                            values=np.empty_like(v.values))
+            for k in range(len(times)):
+                lap, lu = apply_operator(v.slice_fn(k), *gap_coeffs[k])
+                w.values[k] = lap - lu
 
             def rhs_at(t, _w=w):
-                return f_expr_at(t) + gap * interp_slices(_w, t)
+                return f_expr_at(t) + gap * _w.at(t)
 
             new = solve_at_level(lam_prev, rhs_at)
             diff = SpaceTimeFn(grid=grid, times=times,
@@ -658,13 +645,12 @@ def solve_elliptic(spec, grid, tol_stat=1e-8, n_time=64, max_horizon=40.0,
                               stationary=False, horizon_used=0.0)
 
     # stationarity march: repeated unit-window solves continuing downward
-    from dataclasses import replace as dc_replace
     horizon = 0.0
     g_now = GridFn(grid, np.zeros(grid.shape))
     prev_slice = None
     stationary = False
     while horizon < max_horizon:
-        win_spec = dc_replace(spec, time_window=(-(horizon + 1.0), -horizon))
+        win_spec = replace(spec, time_window=(-(horizon + 1.0), -horizon))
         prob = CauchyProblem(spec=win_spec, g=g_now, grid=grid, n_time=n_time,
                              boundary_mode=boundary_mode, lin_tol=lin_tol)
         res = solve_cauchy(prob)
@@ -687,8 +673,6 @@ def semigroup_T(spec, g, duration, grid, dt=1.0 / 64.0, **solver_kwargs):
     """T_t g: the time-reversed final-value problem solved over ``duration``
     with data f = 0, so only a, b and c must be time-independent;
     T_0 g = g exactly."""
-    from dataclasses import replace as dc_replace
-    from .expr import Num
     spec = spec.with_fields(f=Num(0.0))
     _check_time_independent(spec, grid)
     if duration < 0:
@@ -696,7 +680,7 @@ def semigroup_T(spec, g, duration, grid, dt=1.0 / 64.0, **solver_kwargs):
     if duration == 0.0:
         return g.copy()
     n_time = max(2, int(np.ceil(duration / dt - 1e-12)))
-    win_spec = dc_replace(spec, time_window=(-float(duration), 0.0))
+    win_spec = replace(spec, time_window=(-float(duration), 0.0))
     prob = CauchyProblem(spec=win_spec, g=g, grid=grid, n_time=n_time,
                          **solver_kwargs)
     res = solve_cauchy(prob)

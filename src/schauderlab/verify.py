@@ -14,14 +14,16 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .characteristics import cutoff_eta, flow, freeze, particular_u0
+from .characteristics import (FlowPath, _shift_slice, cutoff_eta, flow,
+                              freeze, particular_u0)
 from .coeffspec import check_hypotheses
 from .errors import NumericalError, SpecError
-from .holder import (GridFn, SpaceTimeFn, embedding_check, fd_gradient,
-                     fd_hessian, holder_seminorm, holder_seminorm_stack,
-                     norm_2alpha)
-from .kernel import TimeMatrixPath, potential_G
-from .solver import eval_coefficients, solve_cauchy
+from .holder import (GridFn, SpaceTimeFn, apply_operator, embedding_check,
+                     fd_gradient, fd_hessian, holder_seminorm,
+                     holder_seminorm_stack, norm_2alpha)
+from .kernel import TimeMatrixPath, _field_slice, potential_G
+from .solver import (_stack_coefficients, eval_coefficients, solve_cauchy,
+                     truncate_coeffs)
 
 __all__ = [
     "AuditReport", "audit_max_principle", "audit_schauder",
@@ -75,13 +77,7 @@ def model_solution(path, f, times, grid, t_end, n_time_sub=16,
         g = potential_G(path, f, t, grid, t_end, n_time_sub=n_time_sub,
                         f_breakpoints=f_breakpoints, dt_quad=dt_quad)
         values[k] = -g.values
-    for k, t in enumerate(times):
-        fn = GridFn(grid, values[k])
-        hess = fd_hessian(fn)
-        a_mat = path.eval(t)
-        l0 = sum(a_mat[i, j] * hess[i][j].values
-                 for i in range(grid.d) for j in range(grid.d))
-        from .kernel import _field_slice
+        l0 = apply_operator(GridFn(grid, values[k]), path.eval(t))
         dt_vals[k] = _field_slice(f, t, grid, grid.d) - l0
     return SpaceTimeFn(grid=grid, times=times, values=values, dt_values=dt_vals)
 
@@ -93,11 +89,8 @@ def model_schauder_ratio(u, path, alpha, measure_index=0, max_dist=1.0):
     d = u.grid.d
     denom = 0.0
     for k in range(measure_index, nt):
-        fn = u.slice_fn(k)
-        hess = fd_hessian(fn)
-        a_mat = path.eval(float(u.times[k]))
-        op = u.dt_values[k] + sum(a_mat[i, j] * hess[i][j].values
-                                  for i in range(d) for j in range(d))
+        op = u.dt_values[k] + apply_operator(u.slice_fn(k),
+                                             path.eval(float(u.times[k])))
         denom = max(denom, holder_seminorm(GridFn(u.grid, op), alpha, max_dist))
     fn = u.slice_fn(measure_index)
     hess = fd_hessian(fn)
@@ -142,7 +135,6 @@ def audit_schauder(problems, alpha, threshold=2.0, hyp_counts=(7, 2, 4),
     per_problem = []
     details = {}
     for label, prob in problems:
-        from .solver import truncate_coeffs
         spec = prob.spec if prob.n_trunc < 1 else truncate_coeffs(prob.spec, prob.n_trunc)
         rep = check_hypotheses(spec, prob.grid.radius, *hyp_counts)
         res = solve_cauchy(prob)
@@ -251,18 +243,6 @@ def audit_time_holder(result, alpha, window, ball_radius, slope_tol=0.15,
 # ---------------------------------------------------------------------------
 # integral-form residual
 
-def _fd_apply_operator(spec, u, k, coeffs):
-    fn = u.slice_fn(k)
-    hess = fd_hessian(fn)
-    grads = fd_gradient(fn)
-    d = u.grid.d
-    a, b, c = coeffs["a"], coeffs["b"], coeffs["c"]
-    out = sum(a[i, j] * hess[i][j].values for i in range(d) for j in range(d))
-    out += sum(b[i] * grads[i].values for i in range(d))
-    out -= c * fn.values
-    return out
-
-
 def audit_integral_residual(result, spec, threshold=0.01, margin=1,
                             gap_fracs=(1, 4, 2, 0)):
     """Residual of the integral form: for stored s < t and interior x,
@@ -275,7 +255,7 @@ def audit_integral_residual(result, spec, threshold=0.01, margin=1,
     for k, t in enumerate(u.times):
         coeffs = eval_coefficients(spec, grid, float(t))
         f_slice = grid.field(spec.f, float(t))
-        integrand[k] = f_slice - _fd_apply_operator(spec, u, k, coeffs)
+        integrand[k] = f_slice - apply_operator(u.slice_fn(k), **coeffs)
     cum = np.zeros_like(u.values)
     dt = np.diff(u.times).reshape((-1,) + (1,) * grid.d)
     cum[1:] = np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * dt, axis=0)
@@ -316,8 +296,6 @@ def audit_gauge_independence(path, b0_levels, c0_levels, f, times, grid,
     levels c0 >= 0 must not increase the ratio beyond rounding.  Measured
     values are relative deviations, hence the tiny default threshold.
     """
-    from .characteristics import _shift_slice
-
     u = model_solution(path, f, times, grid, t_end, n_time_sub=n_time_sub,
                        f_breakpoints=f_breakpoints)
     d = grid.d
@@ -325,13 +303,9 @@ def audit_gauge_independence(path, b0_levels, c0_levels, f, times, grid,
     m_idx = measure_index
 
     # drift-free operator value per slice: u_t + a(t) : D^2 u
-    denom_slices = []
-    for k in range(nt):
-        hess = fd_hessian(u.slice_fn(k))
-        a_mat = path.eval(float(u.times[k]))
-        op = u.dt_values[k] + sum(a_mat[i, j] * hess[i][j].values
-                                  for i in range(d) for j in range(d))
-        denom_slices.append(op)
+    denom_slices = [u.dt_values[k] + apply_operator(u.slice_fn(k),
+                                                    path.eval(float(u.times[k])))
+                    for k in range(nt)]
     base_den = max(holder_seminorm(GridFn(grid, denom_slices[k]), alpha, max_dist)
                    for k in range(m_idx, nt))
     hess0 = fd_hessian(u.slice_fn(m_idx))
@@ -420,7 +394,6 @@ def audit_localization(spec, result, eps, report, threshold=0.05,
     times_path = np.concatenate([back.times[:-1], fwd.times])
     pts = np.concatenate([back.points[:-1], fwd.points])
     vels = np.concatenate([back.velocities[:-1], fwd.velocities])
-    from .characteristics import FlowPath
     path = FlowPath(t0=t0, x0=x0, times=times_path, points=pts,
                     velocities=vels, stats={})
     if float(np.max(np.abs(pts))) > grid.radius:
@@ -439,38 +412,30 @@ def audit_localization(spec, result, eps, report, threshold=0.05,
     sup_resid = 0.0
     sup_dev = 0.0
     scale = 0.0
+    ones = np.ones(grid.shape)
     for k, t in enumerate(u.times):
         t = float(t)
         a0 = frozen.a0(t)
         b0 = frozen.b0(t)
         c0 = c0_t[k]
         w = u.values[k] - u0[k]
-        v_vals = w * eta.values[k]
-        v_fn = GridFn(grid, v_vals)
-        hess_v = fd_hessian(v_fn)
-        grad_v = fd_gradient(v_fn)
-        l0v = sum(a0[i, j] * hess_v[i][j].values for i in range(d) for j in range(d))
-        l0v += sum(b0[i] * grad_v[i].values for i in range(d))
-        l0v -= c0 * v_vals
         v_t = (u.dt_values[k] - du0[k]) * eta.values[k] + w * eta.dt_values[k]
-        lhs = v_t + l0v
+        lhs = v_t + apply_operator(GridFn(grid, w * eta.values[k]), a0, b0, c0)
 
-        coeffs = eval_coefficients(spec, grid, t)
         f_slice = grid.field(spec.f, t)
-        lu = _fd_apply_operator(spec, u, k, coeffs)
-        hess_u = fd_hessian(u.slice_fn(k))
-        grads_u = fd_gradient(u.slice_fn(k))
-        l0u = sum(a0[i, j] * hess_u[i][j].values for i in range(d) for j in range(d))
-        l0u += sum(b0[i] * grads_u[i].values for i in range(d))
-        l0u -= c0 * u.values[k]
+        # L u and L0 u from one set of stencils of u
+        u_fn = u.slice_fn(k)
+        frozen_k = {"a": np.multiply.outer(a0, ones),
+                    "b": np.multiply.outer(b0, ones), "c": c0 * ones}
+        lu, l0u = apply_operator(u_fn, *_stack_coefficients(
+            eval_coefficients(spec, grid, t), frozen_k))
+        grads_u = fd_gradient(u_fn)
         eta_fn = GridFn(grid, eta.values[k])
-        hess_eta = fd_hessian(eta_fn)
         grad_eta = fd_gradient(eta_fn)
         dev_term = eta.values[k] * (f_slice - f0_t[k]) \
             + eta.values[k] * (l0u - lu)
         rhs = dev_term \
-            + w * sum(a0[i, j] * hess_eta[i][j].values
-                      for i in range(d) for j in range(d)) \
+            + w * apply_operator(eta_fn, a0) \
             + 2.0 * sum(a0[i, j] * grad_eta[i].values * grads_u[j].values
                         for i in range(d) for j in range(d))
         r = np.abs(lhs - rhs)[inner]

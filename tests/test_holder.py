@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from schauderlab.errors import SpecError
 from schauderlab.holder import (ConeSpec, GridFn, SpaceGrid, SpaceTimeFn,
-                                check_interpolation, cone_entry_bounds,
+                                apply_operator, check_interpolation,
+                                cone_entry_bounds,
                                 cone_matrix_bound, embedding_check,
                                 fd_gradient, fd_hessian, holder_seminorm,
                                 holder_seminorm_stack, norm_2alpha)
@@ -79,7 +80,50 @@ def test_hessian_richardson_order():
     assert 1.7 <= order <= 2.3
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_apply_operator_quadratic_exact(d):
+    # every stencil (3-point, one-sided 4-point, edge_order=2 gradients) is
+    # exact for quadratics, so L u matches its analytic value at every node
+    g = SpaceGrid(d, 1.5, 9)
+    xs = g.mesh()
+    rng = np.random.default_rng(11)
+    q = rng.normal(size=(d, d))
+    p = rng.normal(size=d)
+    u = 0.7 + sum(p[i] * xs[i] for i in range(d)) \
+        + sum(q[i, j] * xs[i] * xs[j] for i in range(d) for j in range(d))
+    hess = q + q.T
+    grad = [p[i] + sum(hess[i, j] * xs[j] for j in range(d))
+            for i in range(d)]
+    a = np.array([[1.5 + np.sin(xs[0]) if i == j else 0.3 * np.cos(xs[-1])
+                   for j in range(d)] for i in range(d)])
+    b = np.array([-(i + 1.0) * xs[i] for i in range(d)])
+    c = 1.0 + sum(x ** 2 for x in xs)
+    a_part = sum(a[i, j] * hess[i, j] for i in range(d) for j in range(d))
+    drift = sum(b[i] * grad[i] for i in range(d))
+    fn = GridFn(g, u)
+    for args, exact in (((a, b, c), a_part + drift - c * u),
+                        ((a,), a_part),
+                        ((a, None, c), a_part - c * u),
+                        ((a, b), a_part + drift)):
+        got = apply_operator(fn, *args)
+        assert got.shape == g.shape
+        assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
 # -- Holder seminorms -------------------------------------------------------
+
+def test_seminorm_stack_validates_inputs():
+    fn = GridFn.from_callable(grid1(n=33), lambda x: x)
+    for alpha in (1.5, 0.0, 1.0, -0.5):
+        with pytest.raises(SpecError, match="alpha"):
+            holder_seminorm_stack([fn], alpha)
+        with pytest.raises(SpecError, match="alpha"):
+            holder_seminorm(fn, alpha)
+    with pytest.raises(SpecError):
+        holder_seminorm_stack([], 0.5)
+    with pytest.raises(SpecError, match="method"):
+        holder_seminorm_stack([fn], 0.5, method="dense")
+
 
 def test_seminorm_constant_zero():
     fn = GridFn(grid1(), np.ones(129))
