@@ -5,14 +5,13 @@ the moving cutoff."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import NumericalError, SpecError
 from .expr import evaluate
-from .holder import GridFn, SpaceGrid, SpaceTimeFn, fd_gradient
+from .holder import GridFn, SpaceTimeFn, fd_gradient
 
 __all__ = [
     "FlowPath", "FrozenOperator", "flow", "freeze", "particular_u0",

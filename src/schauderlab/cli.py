@@ -20,11 +20,10 @@ from .coeffspec import OperatorSpec, check_hypotheses
 from .errors import (ConfigError, ExprEvalError, ExprSyntaxError,
                      NumericalError, SchauderLabError, SpecError)
 from .expr import parse_expr
-from .holder import GridFn, SpaceGrid, fd_gradient, fd_hessian
+from .holder import GridFn, SpaceGrid, fd_gradient, fd_laplacian
 from .kernel import TimeMatrixPath
-from .solver import (CauchyProblem, EllipticResult, continuation_solve,
-                     semigroup_T, solve_cauchy, solve_degenerate_c,
-                     solve_elliptic)
+from .solver import (CauchyProblem, continuation_solve, semigroup_T,
+                     solve_cauchy, solve_degenerate_c, solve_elliptic)
 from . import verify
 
 SCHEMA_VERSION = 1
@@ -345,26 +344,21 @@ def emit_csv(result, path):
     """One row per (time, node): t, coordinates, u, u_t, |Du|, trace(D^2 u)."""
     u = result.u
     grid = u.grid
-    mesh = grid.mesh()
-    coords = [m.ravel() for m in mesh]
+    coords = [m.ravel() for m in grid.mesh()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         header = ["t"] + [f"x{i + 1}" for i in range(grid.d)] \
             + ["u", "ut", "grad_norm", "hess_trace"]
         fh.write(",".join(header) + "\n")
         for k, t in enumerate(u.times):
             fn = u.slice_fn(k)
-            grads = fd_gradient(fn)
-            hess = fd_hessian(fn)
-            gnorm = np.sqrt(sum(g.values ** 2 for g in grads)).ravel()
-            trace = sum(hess[i][i].values for i in range(grid.d)).ravel()
+            gnorm = np.sqrt(sum(g.values ** 2 for g in fd_gradient(fn)))
             uv = u.values[k].ravel()
             ut = u.dt_values[k].ravel() if u.has_dt else np.zeros_like(uv)
-            for row in range(uv.size):
-                cells = [repr(float(t))] \
-                    + [repr(float(c[row])) for c in coords] \
-                    + [repr(float(uv[row])), repr(float(ut[row])),
-                       repr(float(gnorm[row])), repr(float(trace[row]))]
-                fh.write(",".join(cells) + "\n")
+            rows = np.column_stack([np.full(uv.size, t), *coords, uv, ut,
+                                    gnorm.ravel(),
+                                    fd_laplacian(fn).values.ravel()])
+            fh.writelines(",".join(map(repr, row)) + "\n"
+                          for row in rows.tolist())
 
 
 def emit_plot_script(report, path, csv_name="solution.csv"):

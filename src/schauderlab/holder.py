@@ -12,20 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .coeffspec import pair_directions
-from .errors import SpecError
-from .expr import GridField
+from .errors import NumericalError, SpecError
+from .expr import ExprNode, GridField
 
 __all__ = [
     "SpaceGrid", "GridFn", "SpaceTimeFn", "HolderReport", "ConeSpec",
     "fd_gradient", "fd_hessian", "fd_laplacian", "apply_operator",
     "holder_seminorm", "holder_seminorm_stack", "norm_2alpha", "alpha_norm",
     "check_interpolation", "cone_directions", "cone_matrix_bound",
-    "cone_entry_bounds", "embedding_check", "EmbeddingRow",
+    "cone_entry_bounds", "embedding_check", "EmbeddingRow", "fd_derivatives",
 ]
 
 _MAX_FIELDS = 32  # expression evaluators a SpaceGrid keeps
@@ -182,6 +182,22 @@ class SpaceTimeFn:
         return float(np.nanmax(np.abs(self.values))) if self.values.size else 0.0
 
 
+def _field_slice(f, t, grid):
+    """Evaluate a time slice of ``f`` on the grid; f may be an expression,
+    a callable t -> array, or a SpaceTimeFn (linear interpolation in t)."""
+    if isinstance(f, ExprNode):
+        vals = grid.field(f, t)
+    elif isinstance(f, SpaceTimeFn):
+        vals = f.at(t)
+    elif callable(f):
+        vals = np.asarray(f(t), dtype=float) * np.ones(grid.shape)
+    else:
+        raise SpecError(f"cannot evaluate data of type {type(f)!r}")
+    if not np.all(np.isfinite(vals)):
+        raise NumericalError(f"data slice at t = {t} contains non-finite values")
+    return vals
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 
@@ -202,23 +218,32 @@ def _second_diff(values, h, axis):
     return np.moveaxis(out, 0, axis)
 
 
-def fd_hessian(fn):
+def fd_hessian(fn, grads=None):
     """Second derivatives as a d x d tuple of GridFns; diagonal entries by
     3-point stencils (one-sided 4-point at the boundary), mixed entries by
-    nested first differences, symmetrized."""
+    first differences of ``grads``, symmetrized.  ``grads`` is
+    fd_gradient(fn); it is taken here when not given and d > 1."""
     d = fn.grid.d
     h = fn.grid.h
-    grads = [np.gradient(fn.values, h, axis=i, edge_order=2) for i in range(d)]
+    if grads is None and d > 1:
+        grads = fd_gradient(fn)
     hess = [[None] * d for _ in range(d)]
     for i in range(d):
         hess[i][i] = GridFn(fn.grid, _second_diff(fn.values, h, i))
         for j in range(i + 1, d):
-            m_ij = np.gradient(grads[i], h, axis=j, edge_order=2)
-            m_ji = np.gradient(grads[j], h, axis=i, edge_order=2)
+            m_ij = np.gradient(grads[i].values, h, axis=j, edge_order=2)
+            m_ji = np.gradient(grads[j].values, h, axis=i, edge_order=2)
             sym = GridFn(fn.grid, 0.5 * (m_ij + m_ji))
             hess[i][j] = sym
             hess[j][i] = sym
     return tuple(tuple(row) for row in hess)
+
+
+def fd_derivatives(fn):
+    """(fd_gradient(fn), fd_hessian(fn)) from one set of first
+    differences."""
+    grads = fd_gradient(fn)
+    return grads, fd_hessian(fn, grads)
 
 
 def fd_laplacian(fn):
@@ -238,11 +263,16 @@ def apply_operator(fn, a, b=None, c=None):
     against the grid, so coefficient sets stacked on an axis after the
     component axes give one result per set from a single set of stencils.
     """
+    grads = fd_gradient(fn) if b is not None else None
+    return _operator_sum(fn, grads, fd_hessian(fn, grads), a, b, c)
+
+
+def _operator_sum(fn, grads, hess, a, b=None, c=None):
+    """apply_operator from the caller's fd_derivatives(fn); ``grads`` may
+    be None when ``b`` is."""
     d = fn.grid.d
-    hess = fd_hessian(fn)
     out = sum(a[i, j] * hess[i][j].values for i in range(d) for j in range(d))
     if b is not None:
-        grads = fd_gradient(fn)
         out += sum(b[i] * grads[i].values for i in range(d))
     if c is not None:
         out -= c * fn.values
@@ -380,9 +410,8 @@ def _vector_sup(fns):
 def norm_2alpha(fn, alpha, max_dist=1.0, method="structured"):
     """Assemble sup, |Du|, |D^2 u|, [u]_alpha and [D^2 u]_alpha into the full
     2+alpha norm report for one grid function."""
-    grads = fd_gradient(fn)
-    hess = fd_hessian(fn)
-    hess_flat = [hess[i][j] for i in range(fn.grid.d) for j in range(fn.grid.d)]
+    grads, hess = fd_derivatives(fn)
+    hess_flat = [e for row in hess for e in row]
     sup = fn.sup()
     grad_sup = _vector_sup(grads)
     hess_sup = _vector_sup(hess_flat)
@@ -573,25 +602,17 @@ def embedding_check(u, alpha, anchor, h_list, max_dist=1.0):
     node = u.grid.nearest_index(x_anchor)
 
     d = u.grid.d
-    h2_grads = {}
-    h2_hess = {}
+    cache = {}
 
     def derivs(k):
-        if k not in h2_grads:
-            f = u.slice_fn(k)
-            h2_grads[k] = fd_gradient(f)
-            h2_hess[k] = fd_hessian(f)
-        return h2_grads[k], h2_hess[k]
-
-    sem_cache = {}
-
-    def slice_sem(k):
-        if k not in sem_cache:
-            _, hess = derivs(k)
-            flat = [hess[i][j] for i in range(d) for j in range(d)]
-            sem_cache[k] = (holder_seminorm(u.dt_fn(k), alpha, max_dist)
-                            + holder_seminorm_stack(flat, alpha, max_dist))
-        return sem_cache[k]
+        """Du, D^2 u and [u_t]_alpha + [D^2 u]_alpha of slice k."""
+        if k not in cache:
+            grads, hess = fd_derivatives(u.slice_fn(k))
+            flat = [e for row in hess for e in row]
+            cache[k] = (grads, hess,
+                        holder_seminorm(u.dt_fn(k), alpha, max_dist)
+                        + holder_seminorm_stack(flat, alpha, max_dist))
+        return cache[k]
 
     rows = []
     for h in h_list:
@@ -603,15 +624,15 @@ def embedding_check(u, alpha, anchor, h_list, max_dist=1.0):
         if h_used == 0.0:
             rows.append(EmbeddingRow(h, h_used, 0.0, 0.0, 0.0))
             continue
-        g1, hs1 = derivs(kt)
-        g0, hs0 = derivs(ks)
+        g1, hs1, _ = derivs(kt)
+        g0, hs0, _ = derivs(ks)
         dgrad = np.sqrt(sum((g1[i].values[node] - g0[i].values[node]) ** 2
                             for i in range(d)))
         dhess = np.sqrt(sum((hs1[i][j].values[node] - hs0[i][j].values[node]) ** 2
                             for i in range(d) for j in range(d)))
         in_window = [k for k in range(len(u.times))
                      if u.times[ks] - 1e-12 <= u.times[k] <= t0 + 1e-12]
-        ih = max(slice_sem(k) for k in in_window)
+        ih = max(derivs(k)[2] for k in in_window)
         rows.append(EmbeddingRow(
             h_requested=float(h), h_used=h_used,
             r1=float(_ratio(dgrad, ih, 1.0 + alpha, h_used)),

@@ -7,7 +7,7 @@ oracle for one space dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import ndimage
@@ -15,11 +15,8 @@ from scipy.integrate import quad
 
 from .coeffspec import _as_node, sym_eigvals
 from .errors import NumericalError, SpecError
-from .expr import (Binary, Call, ExprNode, Num, Unary, Var, evaluate,
-                   max_x_index, to_string)
-
-_NODE_TYPES = (Num, Var, Unary, Binary, Call)
-from .holder import GridFn, SpaceGrid, SpaceTimeFn, fd_laplacian
+from .expr import ExprNode, Num, evaluate, max_x_index, to_string
+from .holder import GridFn, SpaceTimeFn, _field_slice, fd_laplacian
 
 __all__ = [
     "TimeMatrixPath", "GaussParams", "accumulate_A", "gauss_kernel",
@@ -313,22 +310,6 @@ def _kernel_weights(params, h, max_radius, tail_sigmas=8.0):
     return w / total
 
 
-def _field_slice(f, t, grid, d):
-    """Evaluate a time slice of ``f`` on the grid; f may be an expression,
-    a callable t -> array, or a SpaceTimeFn (linear interpolation in t)."""
-    if isinstance(f, _NODE_TYPES):
-        vals = grid.field(f, t)
-    elif isinstance(f, SpaceTimeFn):
-        vals = f.at(t)
-    elif callable(f):
-        vals = np.asarray(f(t), dtype=float) * np.ones(grid.shape)
-    else:
-        raise SpecError(f"cannot evaluate data of type {type(f)!r}")
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError(f"data slice at t = {t} contains non-finite values")
-    return vals
-
-
 def _time_cells(lo, hi, breakpoints, n_sub):
     cuts = [lo] + sorted(b for b in set(breakpoints) if lo < b < hi) + [hi]
     mids, widths = [], []
@@ -358,7 +339,7 @@ def potential_G(path, f, s, grid, t_end, n_time_sub=16, f_breakpoints=(),
             continue
         params = accumulate_A(path, s, r, dt_quad=dt_quad)
         weights = _kernel_weights(params, grid.h, 2.0 * grid.radius, tail_sigmas)
-        f_slice = _field_slice(f, r, grid, path.d)
+        f_slice = _field_slice(f, r, grid)
         conv = ndimage.convolve(f_slice, weights, mode="constant", cval=0.0)
         out += w * conv
     return GridFn(grid, out)
@@ -388,7 +369,7 @@ def fourier_oracle_1d(path, f, t, grid, t_end, n_time_sub=16, f_breakpoints=(),
     for r, w in zip(mids, widths):
         if r <= t or w <= 0.0:
             continue
-        f_slice = _field_slice(f, r, grid, 1)
+        f_slice = _field_slice(f, r, grid)
         padded = np.zeros(m)
         padded[:n] = f_slice
         f_hat = np.fft.fft(padded) * h * phase
@@ -492,7 +473,7 @@ def heat_solve(f, delta, S, grid, times=None, n_time_sub=16, f_breakpoints=(),
     path = TimeMatrixPath.identity(grid.d)
 
     def damped(t):
-        return np.exp(-delta * t) * _field_slice(f, t, grid, grid.d)
+        return np.exp(-delta * t) * _field_slice(f, t, grid)
 
     nt = len(times)
     values = np.zeros((nt,) + grid.shape)
@@ -504,5 +485,5 @@ def heat_solve(f, delta, S, grid, times=None, n_time_sub=16, f_breakpoints=(),
                          f_breakpoints=f_breakpoints, dt_quad=dt_quad)
         values[k] = -np.exp(delta * t) * g0.values
         lap = fd_laplacian(GridFn(grid, values[k])).values
-        dt_vals[k] = _field_slice(f, t, grid, grid.d) - lap + delta * values[k]
+        dt_vals[k] = _field_slice(f, t, grid) - lap + delta * values[k]
     return SpaceTimeFn(grid=grid, times=times, values=values, dt_values=dt_vals)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,8 +37,8 @@ from .expr import Binary, Call, Num, Var, clamp
 # evaluate is not called here, but perfbench's tracer self-test patches
 # it under this name
 from .expr import evaluate  # noqa: F401
-from .holder import (GridFn, SpaceGrid, SpaceTimeFn, alpha_norm,
-                     apply_operator, fd_laplacian, norm_2alpha)
+from .holder import (GridFn, SpaceGrid, SpaceTimeFn, _field_slice,
+                     alpha_norm, apply_operator, fd_laplacian, norm_2alpha)
 from .kernel import heat_solve
 
 __all__ = [
@@ -323,10 +323,10 @@ def solve_cauchy(problem, f_override=None, coeff_override=None,
             return coeff_override(t)
         return eval_coefficients(spec, grid, t)
 
+    data = spec.f if f_override is None else f_override
+
     def f_at(t):
-        if f_override is not None:
-            return np.asarray(f_override(t), dtype=float) * np.ones(shape)
-        return grid.field(spec.f, t)
+        return _field_slice(data, t, grid)
 
     def assemble(t):
         mat, _ = build_operator_matrix(coeffs_at(t), grid,
@@ -469,6 +469,20 @@ def _frak_norm(u, alpha):
     return worst_dt + worst_u
 
 
+def _blend_spec(spec, lam0, delta):
+    """lam0 L + (1 - lam0)(Lap - delta) as a spec with the same data f."""
+    lam = Num(lam0)
+
+    def blend(node, rest):
+        return Binary("+", Binary("*", lam, node), Num((1.0 - lam0) * rest))
+
+    n = range(spec.d)
+    return OperatorSpec.make(
+        spec.d, [[blend(spec.a[i][j], float(i == j)) for j in n] for i in n],
+        [Binary("*", lam, bi) for bi in spec.b], blend(spec.c, delta),
+        spec.f, spec.alpha, spec.time_window, spec.t_breakpoints)
+
+
 def continuation_solve(problem, lambda_step=0.1, picard_tol=1e-8,
                        max_picard=40, delta=None, heat_n_time_sub=8):
     """March lambda from 0 to 1 through the operator family
@@ -494,19 +508,17 @@ def continuation_solve(problem, lambda_step=0.1, picard_tol=1e-8,
 
     times = time_grid((T, S), problem.n_time, spec.t_breakpoints)
 
-    def coeffs_at(t):
-        return eval_coefficients(spec, grid, t)
-
     def f_expr_at(t):
         return grid.field(spec.f, t)
 
     # Lap - delta stacked with L at each slice time, for the gap operator
     heat = _heat_coefficients(grid, delta)
     if spec.coefficients_time_independent():
-        gap_coeffs = [_stack_coefficients(heat, coeffs_at(0.5 * (T + S)))] \
-            * len(times)
+        gap_coeffs = [_stack_coefficients(
+            heat, eval_coefficients(spec, grid, 0.5 * (T + S)))] * len(times)
     else:
-        gap_coeffs = [_stack_coefficients(heat, coeffs_at(t)) for t in times]
+        gap_coeffs = [_stack_coefficients(heat, eval_coefficients(spec, grid, t))
+                      for t in times]
 
     n_levels = int(np.ceil(1.0 / lambda_step - 1e-12))
     lambdas = [min(1.0, (k + 1) * lambda_step) for k in range(n_levels)]
@@ -520,18 +532,13 @@ def continuation_solve(problem, lambda_step=0.1, picard_tol=1e-8,
                               n_time_sub=heat_n_time_sub,
                               f_breakpoints=spec.t_breakpoints)
 
-        def blended(t):
-            cc = coeffs_at(t)
-            return {"a": lam0 * cc["a"] + (1.0 - lam0) * heat["a"],
-                    "b": lam0 * cc["b"],
-                    "c": lam0 * cc["c"] + (1.0 - lam0) * delta}
-
-        sub = CauchyProblem(spec=spec, g=problem.g, grid=grid,
+        sub = CauchyProblem(spec=_blend_spec(spec, lam0, delta),
+                            g=problem.g, grid=grid,
                             n_time=problem.n_time,
                             boundary_mode=problem.boundary_mode,
                             theta=problem.theta, blend_override=0.0,
                             lin_tol=problem.lin_tol)
-        res = solve_cauchy(sub, f_override=rhs_callable, coeff_override=blended)
+        res = solve_cauchy(sub, f_override=rhs_callable)
         lin["factorizations"] += res.iterations["factorizations"]
         lin["linear_residual_max"] = max(lin["linear_residual_max"],
                                          res.iterations["linear_residual_max"])

@@ -10,7 +10,7 @@ configuration and seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -18,10 +18,11 @@ from .characteristics import (FlowPath, _shift_slice, cutoff_eta, flow,
                               freeze, particular_u0)
 from .coeffspec import check_hypotheses
 from .errors import NumericalError, SpecError
-from .holder import (GridFn, SpaceTimeFn, apply_operator, embedding_check,
-                     fd_gradient, fd_hessian, holder_seminorm,
-                     holder_seminorm_stack, norm_2alpha)
-from .kernel import TimeMatrixPath, _field_slice, potential_G
+from .holder import (GridFn, SpaceTimeFn, _field_slice, _operator_sum,
+                     apply_operator, embedding_check, fd_derivatives,
+                     fd_hessian, holder_seminorm, holder_seminorm_stack,
+                     norm_2alpha)
+from .kernel import potential_G
 from .solver import (_stack_coefficients, eval_coefficients, solve_cauchy,
                      truncate_coeffs)
 
@@ -78,24 +79,31 @@ def model_solution(path, f, times, grid, t_end, n_time_sub=16,
                         f_breakpoints=f_breakpoints, dt_quad=dt_quad)
         values[k] = -g.values
         l0 = apply_operator(GridFn(grid, values[k]), path.eval(t))
-        dt_vals[k] = _field_slice(f, t, grid, grid.d) - l0
+        dt_vals[k] = _field_slice(f, t, grid) - l0
     return SpaceTimeFn(grid=grid, times=times, values=values, dt_values=dt_vals)
+
+
+def _model_ratio_parts(u, path, alpha, measure_index, max_dist):
+    """(u_t + a(s):D^2 u)(s,.) for stored s >= t = times[measure_index],
+    [D^2 u(t,.)]_alpha and the max of the former's alpha seminorms, from
+    one Hessian per slice."""
+    ks = range(measure_index, len(u.times))
+    hess = [fd_hessian(u.slice_fn(k)) for k in ks]
+    ops = [u.dt_values[k] + _operator_sum(u.slice_fn(k), None, hs,
+                                          path.eval(float(u.times[k])))
+           for k, hs in zip(ks, hess)]
+    num = holder_seminorm_stack([e for row in hess[0] for e in row], alpha,
+                                max_dist)
+    den = max(holder_seminorm(GridFn(u.grid, op), alpha, max_dist)
+              for op in ops)
+    return ops, num, den
 
 
 def model_schauder_ratio(u, path, alpha, measure_index=0, max_dist=1.0):
     """[D^2 u(t,.)]_alpha divided by the sup over stored s >= t of
     [(u_t + a(s):D^2 u)(s,.)]_alpha, the model-operator regularity ratio."""
-    nt = len(u.times)
-    d = u.grid.d
-    denom = 0.0
-    for k in range(measure_index, nt):
-        op = u.dt_values[k] + apply_operator(u.slice_fn(k),
-                                             path.eval(float(u.times[k])))
-        denom = max(denom, holder_seminorm(GridFn(u.grid, op), alpha, max_dist))
-    fn = u.slice_fn(measure_index)
-    hess = fd_hessian(fn)
-    flat = [hess[i][j] for i in range(d) for j in range(d)]
-    num = holder_seminorm_stack(flat, alpha, max_dist)
+    _, num, denom = _model_ratio_parts(u, path, alpha, measure_index,
+                                       max_dist)
     if denom == 0.0:
         return 0.0 if num == 0.0 else np.inf
     return num / denom
@@ -187,17 +195,14 @@ def audit_time_holder(result, alpha, window, ball_radius, slope_tol=0.15,
     if len(ks) < 3:
         raise SpecError("window contains fewer than 3 stored slices")
     mask = _ball_mask(u.grid, ball_radius)
-    d = u.grid.d
 
     deriv_cache = {}
 
     def derivs(k):
         if k not in deriv_cache:
-            fn = u.slice_fn(k)
-            g = np.stack([x.values for x in fd_gradient(fn)])
-            hh = fd_hessian(fn)
-            hs = np.stack([hh[i][j].values for i in range(d) for j in range(d)])
-            deriv_cache[k] = (g, hs)
+            grads, hess = fd_derivatives(u.slice_fn(k))
+            deriv_cache[k] = (np.stack([g.values for g in grads]),
+                              np.stack([e.values for row in hess for e in row]))
         return deriv_cache[k]
 
     span = u.times[ks[-1]] - u.times[ks[0]]
@@ -298,19 +303,11 @@ def audit_gauge_independence(path, b0_levels, c0_levels, f, times, grid,
     """
     u = model_solution(path, f, times, grid, t_end, n_time_sub=n_time_sub,
                        f_breakpoints=f_breakpoints)
-    d = grid.d
-    nt = len(u.times)
     m_idx = measure_index
 
-    # drift-free operator value per slice: u_t + a(t) : D^2 u
-    denom_slices = [u.dt_values[k] + apply_operator(u.slice_fn(k),
-                                                    path.eval(float(u.times[k])))
-                    for k in range(nt)]
-    base_den = max(holder_seminorm(GridFn(grid, denom_slices[k]), alpha, max_dist)
-                   for k in range(m_idx, nt))
-    hess0 = fd_hessian(u.slice_fn(m_idx))
-    base_num = holder_seminorm_stack(
-        [hess0[i][j] for i in range(d) for j in range(d)], alpha, max_dist)
+    # drift-free operator value u_t + a(t) : D^2 u per slice from m_idx on
+    denom_slices, base_num, base_den = _model_ratio_parts(
+        u, path, alpha, m_idx, max_dist)
     if base_den == 0.0:
         raise SpecError("gauge audit needs a nonzero data family")
     base_ratio = base_num / base_den
@@ -323,12 +320,12 @@ def audit_gauge_independence(path, b0_levels, c0_levels, f, times, grid,
         shift_m = -b0 * float(u.times[m_idx]) / grid.h
         hess = fd_hessian(GridFn(grid, _shift_slice(u.values[m_idx], shift_m,
                                                     grid)))
-        num = holder_seminorm_stack(
-            [hess[i][j] for i in range(d) for j in range(d)], alpha, max_dist)
+        num = holder_seminorm_stack([e for row in hess for e in row], alpha,
+                                    max_dist)
         den = 0.0
-        for k in range(m_idx, nt):
+        for k, op in enumerate(denom_slices, m_idx):
             shift_nodes = -b0 * float(u.times[k]) / grid.h
-            shifted = _shift_slice(denom_slices[k], shift_nodes, grid)
+            shifted = _shift_slice(op, shift_nodes, grid)
             den = max(den, holder_seminorm(GridFn(grid, shifted), alpha,
                                            max_dist))
         ratio = num / den if den > 0 else np.inf
@@ -340,9 +337,9 @@ def audit_gauge_independence(path, b0_levels, c0_levels, f, times, grid,
     for c0 in c0_levels:
         c0 = float(c0)
         den = 0.0
-        for k in range(m_idx, nt):
-            op = denom_slices[k] - c0 * u.values[k]
-            den = max(den, holder_seminorm(GridFn(grid, op), alpha, max_dist))
+        for k, op in enumerate(denom_slices, m_idx):
+            den = max(den, holder_seminorm(GridFn(grid, op - c0 * u.values[k]),
+                                           alpha, max_dist))
         ratio = base_num / den if den > 0 else np.inf
         excess = max(0.0, ratio / base_ratio - 1.0)
         label = f"c0={c0:g}"
@@ -423,19 +420,19 @@ def audit_localization(spec, result, eps, report, threshold=0.05,
         lhs = v_t + apply_operator(GridFn(grid, w * eta.values[k]), a0, b0, c0)
 
         f_slice = grid.field(spec.f, t)
-        # L u and L0 u from one set of stencils of u
+        # one derivative pass of u gives L u, L0 u and the cross term
         u_fn = u.slice_fn(k)
+        grads_u, hess_u = fd_derivatives(u_fn)
         frozen_k = {"a": np.multiply.outer(a0, ones),
                     "b": np.multiply.outer(b0, ones), "c": c0 * ones}
-        lu, l0u = apply_operator(u_fn, *_stack_coefficients(
+        lu, l0u = _operator_sum(u_fn, grads_u, hess_u, *_stack_coefficients(
             eval_coefficients(spec, grid, t), frozen_k))
-        grads_u = fd_gradient(u_fn)
         eta_fn = GridFn(grid, eta.values[k])
-        grad_eta = fd_gradient(eta_fn)
+        grad_eta, hess_eta = fd_derivatives(eta_fn)
         dev_term = eta.values[k] * (f_slice - f0_t[k]) \
             + eta.values[k] * (l0u - lu)
         rhs = dev_term \
-            + w * apply_operator(eta_fn, a0) \
+            + w * _operator_sum(eta_fn, None, hess_eta, a0) \
             + 2.0 * sum(a0[i, j] * grad_eta[i].values * grads_u[j].values
                         for i in range(d) for j in range(d))
         r = np.abs(lhs - rhs)[inner]

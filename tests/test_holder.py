@@ -110,6 +110,29 @@ def test_apply_operator_quadratic_exact(d):
         assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
+@pytest.mark.parametrize("d, calls", [(1, 1), (2, 4)])
+def test_one_derivative_pass_per_slice(monkeypatch, d, calls):
+    # d first differences feed both D u and the mixed terms of D^2 u, which
+    # take one more difference per pair i < j
+    g = SpaceGrid(d, 1.5, 9)
+    fn = GridFn(g, np.exp(-sum(x ** 2 for x in g.mesh())))
+    a = np.eye(d)
+    b = np.ones(d)
+    counted = []
+    gradient = np.gradient
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return gradient(*args, **kwargs)
+
+    monkeypatch.setattr(np, "gradient", counting)
+    for run in (lambda: apply_operator(fn, a, b, 1.0),
+                lambda: norm_2alpha(fn, 0.5)):
+        counted.clear()
+        run()
+        assert len(counted) == calls
+
+
 # -- Holder seminorms -------------------------------------------------------
 
 def test_seminorm_stack_validates_inputs():

@@ -333,7 +333,31 @@ def test_continuation_data_time_dependence_keeps_slicewise_result():
             for s in (once, sliced)]
     scale = np.max(np.abs(sols[1].u.values))
     assert np.max(np.abs(sols[0].u.values - sols[1].u.values)) <= 1e-12 * scale
-    assert sols[0].iterations == sols[1].iterations
+    for key in ("picard_total", "linear_residual_max"):
+        assert sols[0].iterations[key] == sols[1].iterations[key]
+    # constant a, b, c: one factorization per level solve; t in a: one per step
+    assert sols[0].iterations["factorizations"] == 8
+    assert sols[1].iterations["factorizations"] == 16 * 8
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_continuation_constant_coefficients_factor_once_per_solve(d):
+    if d == 1:
+        prob, spec, grid = bounded_problem(n=65, n_time=16)
+    else:
+        spec = OperatorSpec.make(2, [["1", "0.2"], ["0.2", "1.3"]],
+                                 ["sin(x1)", "-0.5*x2/(1+x2^2)"],
+                                 "1+0.3*cos(x1)", "exp(-(x1^2+x2^2))",
+                                 0.5, (0.0, 1.0))
+        grid = SpaceGrid(2, 3.0, 17)
+        prob = CauchyProblem(spec=spec, g=GridFn(grid, np.zeros(grid.shape)),
+                             grid=grid, n_time=8)
+    res = continuation_solve(prob, lambda_step=0.5, picard_tol=1e-6)
+    # the first level's Picard solves sit at lambda = 0 (the heat potential)
+    levels = res.diagnostics["contraction"]
+    above_zero = res.iterations["picard_total"] - levels[0]["iterations"]
+    assert above_zero > 0
+    assert res.iterations["factorizations"] == above_zero
 
 
 def test_continuation_requires_zero_final_condition():
