@@ -9,7 +9,8 @@ from .holder import (ConeSpec, GridFn, HolderReport, SpaceGrid, SpaceTimeFn,
                      cone_matrix_bound, embedding_check, fd_gradient,
                      fd_hessian, holder_seminorm, norm_2alpha)
 from .kernel import (GaussParams, TimeMatrixPath, accumulate_A, gauss_kernel,
-                     heat_semigroup, heat_solve, mollify, potential_G)
+                     heat_semigroup, heat_solve, mollify, potential_G,
+                     potential_G_multi)
 from .characteristics import (FlowPath, FrozenOperator, cutoff_eta, flow,
                               freeze, gauge_exp, gauge_translate,
                               particular_u0)

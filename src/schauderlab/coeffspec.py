@@ -317,8 +317,6 @@ def check_hypotheses(spec, box_radius, n_space, n_time, n_pairs,
         if np.any(pos):
             F0 = max(F0, float(np.max(np.abs(f_vals[pos]) / c_vals[pos])))
 
-        b_vals = spec.eval_b(t, xs_anchor)          # (d, N)
-
         for u in dirs:
             for dist in dists:
                 partners = anchors + dist * u

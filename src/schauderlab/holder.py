@@ -11,7 +11,7 @@ an interpolating shift) and are skipped by all scans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -282,12 +282,17 @@ def _operator_sum(fn, grads, hess, a, b=None, c=None):
 # ---------------------------------------------------------------------------
 # Holder seminorms
 
+@lru_cache(maxsize=None)
 def _integer_directions(d):
+    """The pair directions as integer node steps, built once per d and
+    kept as read-only arrays."""
     dirs = []
     for u in pair_directions(d):
         scale = np.min(np.abs(u[np.abs(u) > 1e-12]))
-        dirs.append(np.rint(u / scale).astype(int))
-    return dirs
+        div = np.rint(u / scale).astype(int)
+        div.flags.writeable = False
+        dirs.append(div)
+    return tuple(dirs)
 
 
 def _shift_counts(kmax):

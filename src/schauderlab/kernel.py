@@ -20,8 +20,8 @@ from .holder import GridFn, SpaceTimeFn, _field_slice, fd_laplacian
 
 __all__ = [
     "TimeMatrixPath", "GaussParams", "accumulate_A", "gauss_kernel",
-    "kernel_on_grid", "potential_G", "fourier_oracle_1d", "heat_semigroup",
-    "mollify", "heat_solve", "bump_normalizer",
+    "kernel_on_grid", "potential_G", "potential_G_multi", "fourier_oracle_1d",
+    "heat_semigroup", "mollify", "heat_solve", "bump_normalizer",
 ]
 
 
@@ -320,6 +320,51 @@ def _time_cells(lo, hi, breakpoints, n_sub):
     return np.array(mids), np.array(widths)
 
 
+def _convolve(values, weights):
+    """Direct-summation convolution with zero extension, returned on the
+    grid of ``values``: ``np.convolve`` on 1-D grids, ``ndimage.convolve``
+    otherwise.  ``weights`` has odd length along every axis."""
+    if values.ndim == 1:
+        m = (len(weights) - 1) // 2
+        return np.convolve(values, weights)[m:m + len(values)]
+    return ndimage.convolve(values, weights, mode="constant", cval=0.0)
+
+
+def potential_G_multi(path, f, times, grid, t_end, n_time_sub=16,
+                      f_breakpoints=(), tail_sigmas=8.0, dt_quad=1e-3):
+    """The potential (G f)(s, .) at every s in ``times``, as an array of
+    shape ``(len(times),) + grid.shape``; see ``potential_G``.
+
+    The cells' accumulated diffusions are built output by output in the
+    order of ``times``, as per-time ``potential_G`` calls would build them.
+    The cells are then walked grouped by midpoint, so f is evaluated once
+    per distinct midpoint across all outputs, and each output still sums
+    its cells in increasing midpoint order.  The space convolution is
+    direct summation: ``np.convolve`` in 1-D, ``ndimage.convolve`` for
+    d >= 2.
+    """
+    times = np.asarray(times, dtype=float)
+    breaks = tuple(path.breakpoints) + tuple(f_breakpoints)
+    cells = []  # (midpoint, output index, width, params)
+    for k, s in enumerate(times):
+        if t_end <= s:
+            continue
+        mids, widths = _time_cells(s, t_end, breaks, n_time_sub)
+        for r, w in zip(mids, widths):
+            if r <= s or w <= 0.0:
+                continue
+            cells.append((r, k, w, accumulate_A(path, s, r, dt_quad=dt_quad)))
+    cells.sort(key=lambda cell: cell[0])  # stable: equal midpoints keep order
+    out = np.zeros((len(times),) + grid.shape)
+    f_time, f_slice = None, None
+    for r, k, w, params in cells:
+        if r != f_time:
+            f_time, f_slice = r, _field_slice(f, r, grid)
+        weights = _kernel_weights(params, grid.h, 2.0 * grid.radius, tail_sigmas)
+        out[k] += w * _convolve(f_slice, weights)
+    return out
+
+
 def potential_G(path, f, s, grid, t_end, n_time_sub=16, f_breakpoints=(),
                 tail_sigmas=8.0, dt_quad=1e-3):
     """The potential (G f)(s, .) = integral over t in (s, t_end) of
@@ -327,22 +372,15 @@ def potential_G(path, f, s, grid, t_end, n_time_sub=16, f_breakpoints=(),
 
     Time integration is composite midpoint split at the path's and the
     data's breakpoints; the space convolution is direct summation with the
-    kernel truncated at ``tail_sigmas`` standard deviations.
+    kernel truncated at ``tail_sigmas`` standard deviations, by
+    ``np.convolve`` in 1-D and ``ndimage.convolve`` for d >= 2.  A call
+    for one time; ``potential_G_multi`` takes many at once and evaluates f
+    once per distinct cell midpoint across them.
     """
-    if t_end <= s:
-        return GridFn(grid, np.zeros(grid.shape))
-    mids, widths = _time_cells(s, t_end, tuple(path.breakpoints) + tuple(f_breakpoints),
-                               n_time_sub)
-    out = np.zeros(grid.shape)
-    for r, w in zip(mids, widths):
-        if r <= s or w <= 0.0:
-            continue
-        params = accumulate_A(path, s, r, dt_quad=dt_quad)
-        weights = _kernel_weights(params, grid.h, 2.0 * grid.radius, tail_sigmas)
-        f_slice = _field_slice(f, r, grid)
-        conv = ndimage.convolve(f_slice, weights, mode="constant", cval=0.0)
-        out += w * conv
-    return GridFn(grid, out)
+    return GridFn(grid, potential_G_multi(
+        path, f, [s], grid, t_end, n_time_sub=n_time_sub,
+        f_breakpoints=f_breakpoints, tail_sigmas=tail_sigmas,
+        dt_quad=dt_quad)[0])
 
 
 def fourier_oracle_1d(path, f, t, grid, t_end, n_time_sub=16, f_breakpoints=(),
@@ -475,15 +513,14 @@ def heat_solve(f, delta, S, grid, times=None, n_time_sub=16, f_breakpoints=(),
     def damped(t):
         return np.exp(-delta * t) * _field_slice(f, t, grid)
 
-    nt = len(times)
-    values = np.zeros((nt,) + grid.shape)
+    g0 = potential_G_multi(path, damped, times, grid, S, n_time_sub=n_time_sub,
+                           f_breakpoints=f_breakpoints, dt_quad=dt_quad)
+    values = np.zeros((len(times),) + grid.shape)
     dt_vals = np.zeros_like(values)
     for k, t in enumerate(times):
         if t >= S:
             continue  # u and u_t vanish there exactly
-        g0 = potential_G(path, damped, t, grid, S, n_time_sub=n_time_sub,
-                         f_breakpoints=f_breakpoints, dt_quad=dt_quad)
-        values[k] = -np.exp(delta * t) * g0.values
+        values[k] = -np.exp(delta * t) * g0[k]
         lap = fd_laplacian(GridFn(grid, values[k])).values
         dt_vals[k] = _field_slice(f, t, grid) - lap + delta * values[k]
     return SpaceTimeFn(grid=grid, times=times, values=values, dt_values=dt_vals)

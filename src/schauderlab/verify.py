@@ -22,7 +22,7 @@ from .holder import (GridFn, SpaceTimeFn, _field_slice, _operator_sum,
                      apply_operator, embedding_check, fd_derivatives,
                      fd_hessian, holder_seminorm, holder_seminorm_stack,
                      norm_2alpha)
-from .kernel import potential_G
+from .kernel import potential_G_multi
 from .solver import (_stack_coefficients, eval_coefficients, solve_cauchy,
                      truncate_coeffs)
 
@@ -69,15 +69,14 @@ def loglog_slope(xs, ys):
 
 def model_solution(path, f, times, grid, t_end, n_time_sub=16,
                    f_breakpoints=(), dt_quad=1e-3):
-    """u(t, .) = -(G f)(t, .) slice by slice, with the time derivative
-    filled from the equation u_t = f - a(t) : D^2 u."""
+    """u(t, .) = -(G f)(t, .) from one multi-time potential, with the time
+    derivative filled from the equation u_t = f - a(t) : D^2 u."""
     times = np.asarray(times, dtype=float)
-    values = np.zeros((len(times),) + grid.shape)
+    values = -potential_G_multi(path, f, times, grid, t_end,
+                                n_time_sub=n_time_sub,
+                                f_breakpoints=f_breakpoints, dt_quad=dt_quad)
     dt_vals = np.zeros_like(values)
     for k, t in enumerate(times):
-        g = potential_G(path, f, t, grid, t_end, n_time_sub=n_time_sub,
-                        f_breakpoints=f_breakpoints, dt_quad=dt_quad)
-        values[k] = -g.values
         l0 = apply_operator(GridFn(grid, values[k]), path.eval(t))
         dt_vals[k] = _field_slice(f, t, grid) - l0
     return SpaceTimeFn(grid=grid, times=times, values=values, dt_values=dt_vals)

@@ -158,6 +158,17 @@ def test_evaluation_error_exits_with_report(tmp_path, verb):
     assert "sqrt" in json.dumps(rep["error"])
 
 
+def test_drift_evaluation_error_exits_3_with_report(tmp_path):
+    # b enters the hypothesis check only through its pair quotients; a drift
+    # that cannot be evaluated on the box still stops the run there
+    cfg = write_cfg(tmp_path, {"problem.b": ["sqrt(x1-10)"]})
+    out = str(tmp_path / "out")
+    assert main(["all", "--config", cfg, "--out", out]) == 3
+    rep = read_report(out)
+    assert rep["error"]["kind"] == "config"
+    assert "sqrt(x1 - 10.0)" in rep["error"]["detail"]
+
+
 class _RecordingDict(dict):
     """A JSON object that adds every key looked up in it to ``seen``."""
 

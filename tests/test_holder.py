@@ -148,6 +148,17 @@ def test_seminorm_stack_validates_inputs():
         holder_seminorm_stack([fn], 0.5, method="dense")
 
 
+@pytest.mark.parametrize("d, count", [(1, 1), (2, 4), (3, 13)])
+def test_integer_directions_built_once_read_only(d, count):
+    from schauderlab.holder import _integer_directions
+    dirs = _integer_directions(d)
+    assert _integer_directions(d) is dirs
+    assert len(dirs) == count
+    for div in dirs:
+        assert div.dtype.kind == "i" and not div.flags.writeable
+        assert np.min(np.abs(div[div != 0])) == 1
+
+
 def test_seminorm_constant_zero():
     fn = GridFn(grid1(), np.ones(129))
     assert holder_seminorm(fn, 0.5) == 0.0

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.integrate import quad
 
 from schauderlab import kernel
@@ -189,6 +190,91 @@ def test_potential_rejects_unbounded_data():
     with pytest.raises(NumericalError):
         potential_G(TimeMatrixPath.identity(1), lambda t: np.full(65, np.inf),
                     0.0, grid, 1.0)
+
+
+# -- multi-time potential ---------------------------------------------------
+
+# data with breakpoints, so the outputs share the cells above 0.6 and 0.8
+MULTI_F = "exp(-x1^2)*(1+step(t-0.6)-0.5*step(t-0.8))*cos(3*t)*step(1-t)"
+MULTI_BREAKS = (0.6, 0.8)
+MULTI_TIMES = (0.1, 0.25, 0.4, 0.55)
+
+
+def multi_case(d):
+    if d == 1:
+        path = TimeMatrixPath.make(1, [["1.5+0.5*sin(3*t)"]])
+        return path, SpaceGrid(1, 3.0, 33), parse_expr(MULTI_F)
+    path = TimeMatrixPath.make(2, [["1.2+0.3*sin(2*t)", "0.4*cos(t)"],
+                                   ["0.4*cos(t)", "1+0.2*t"]])
+    return path, SpaceGrid(2, 3.0, 17), parse_expr(MULTI_F + "*exp(-x2^2)")
+
+
+def multi_cells(path, times, t_end, n_sub):
+    """(output index, s, midpoint, width) of every active cell."""
+    breaks = tuple(path.breakpoints) + MULTI_BREAKS
+    for k, s in enumerate(times):
+        mids, widths = kernel._time_cells(s, t_end, breaks, n_sub)
+        for r, w in zip(mids, widths):
+            if r > s and w > 0.0:
+                yield k, s, r, w
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_potential_multi_matches_per_cell_ndimage_sum(d):
+    path, grid, f = multi_case(d)
+    kernel._CUM_CACHE.clear()
+    got = kernel.potential_G_multi(path, f, MULTI_TIMES, grid, 1.0,
+                                   n_time_sub=3, f_breakpoints=MULTI_BREAKS)
+    kernel._CUM_CACHE.clear()
+    ref = np.zeros((len(MULTI_TIMES),) + grid.shape)
+    for k, s, r, w in multi_cells(path, MULTI_TIMES, 1.0, 3):
+        weights = kernel._kernel_weights(accumulate_A(path, s, r), grid.h,
+                                         2.0 * grid.radius)
+        ref[k] += w * ndimage.convolve(grid.field(f, r), weights,
+                                       mode="constant", cval=0.0)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    if d == 2:  # same route and summation order as the reference
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_potential_multi_equals_per_time_potential_bitwise():
+    path, grid, f = multi_case(2)
+    kernel._CUM_CACHE.clear()
+    multi = kernel.potential_G_multi(path, f, MULTI_TIMES, grid, 1.0,
+                                     n_time_sub=3, f_breakpoints=MULTI_BREAKS)
+    kernel._CUM_CACHE.clear()
+    single = np.stack([potential_G(path, f, s, grid, 1.0, n_time_sub=3,
+                                   f_breakpoints=MULTI_BREAKS).values
+                       for s in MULTI_TIMES])
+    assert multi.tobytes() == single.tobytes()
+
+
+def test_potential_multi_evaluates_data_once_per_midpoint():
+    path, grid, _ = multi_case(1)
+    calls = []
+
+    def f_cb(t):
+        calls.append(float(t))
+        return np.exp(-grid.axis() ** 2) * (t < 1.0)
+
+    kernel.potential_G_multi(path, f_cb, MULTI_TIMES, grid, 1.0, n_time_sub=3,
+                             f_breakpoints=MULTI_BREAKS)
+    cells = list(multi_cells(path, MULTI_TIMES, 1.0, 3))
+    distinct = {float(r) for _, _, r, _ in cells}
+    assert len(distinct) < len(cells)
+    assert sorted(calls) == sorted(distinct)
+
+
+@pytest.mark.parametrize("n_signal, n_taps", [(5, 13), (9, 1)])
+def test_convolve_1d_matches_ndimage(n_signal, n_taps):
+    rng = np.random.default_rng(n_signal)
+    values = rng.normal(size=n_signal)
+    weights = rng.uniform(0.1, 1.0, size=n_taps)
+    got = kernel._convolve(values, weights)
+    ref = ndimage.convolve(values, weights, mode="constant", cval=0.0)
+    assert got.shape == ref.shape
+    assert np.allclose(got, ref, rtol=1e-14, atol=1e-15)
 
 
 # -- Fourier oracle ---------------------------------------------------------
