@@ -340,11 +340,18 @@ def _jsonify(obj):
     return obj
 
 
+def _reprs(values):
+    """``repr`` of every entry of a float array, in ravel order; one list
+    formatted at once, which is faster than one ``repr`` call per entry."""
+    return str(values.ravel().tolist())[1:-1].split(", ")
+
+
 def emit_csv(result, path):
-    """One row per (time, node): t, coordinates, u, u_t, |Du|, trace(D^2 u)."""
+    """One row per (time, node): t, coordinates, u, u_t, |Du|, trace(D^2 u).
+    The coordinates are formatted once per grid and t once per slice."""
     u = result.u
     grid = u.grid
-    coords = [m.ravel() for m in grid.mesh()]
+    nodes = [",".join(xs) for xs in zip(*map(_reprs, grid.mesh()))]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         header = ["t"] + [f"x{i + 1}" for i in range(grid.d)] \
             + ["u", "ut", "grad_norm", "hess_trace"]
@@ -352,13 +359,14 @@ def emit_csv(result, path):
         for k, t in enumerate(u.times):
             fn = u.slice_fn(k)
             gnorm = np.sqrt(sum(g.values ** 2 for g in fd_gradient(fn)))
-            uv = u.values[k].ravel()
-            ut = u.dt_values[k].ravel() if u.has_dt else np.zeros_like(uv)
-            rows = np.column_stack([np.full(uv.size, t), *coords, uv, ut,
-                                    gnorm.ravel(),
-                                    fd_laplacian(fn).values.ravel()])
-            fh.writelines(",".join(map(repr, row)) + "\n"
-                          for row in rows.tolist())
+            uv = u.values[k]
+            ut = u.dt_values[k] if u.has_dt else np.zeros_like(uv)
+            t_str = repr(float(t))
+            fh.writelines(
+                f"{t_str},{x},{v},{vt},{g},{lap}\n"
+                for x, v, vt, g, lap in zip(
+                    nodes, _reprs(uv), _reprs(ut), _reprs(gnorm),
+                    _reprs(fd_laplacian(fn).values)))
 
 
 def emit_plot_script(report, path, csv_name="solution.csv"):

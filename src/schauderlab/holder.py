@@ -10,9 +10,9 @@ an interpolating shift) and are skipped by all scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -396,12 +396,19 @@ def holder_seminorm_stack(fns, alpha, max_dist=1.0, method="structured"):
 
 @dataclass(frozen=True)
 class HolderReport:
+    """The 2+alpha norm of one grid function and its parts; [u]_alpha,
+    which the norm does not contain, is scanned on first access."""
+
     sup: float
     grad_sup: float
     hess_sup: float
-    seminorm_alpha: float
     seminorm_2alpha: float
     norm_2alpha: float
+    _scan_alpha: Callable[[], float] = field(repr=False, compare=False)
+
+    @cached_property
+    def seminorm_alpha(self):
+        return self._scan_alpha()
 
 
 def _vector_sup(fns):
@@ -413,18 +420,19 @@ def _vector_sup(fns):
 
 
 def norm_2alpha(fn, alpha, max_dist=1.0, method="structured"):
-    """Assemble sup, |Du|, |D^2 u|, [u]_alpha and [D^2 u]_alpha into the full
-    2+alpha norm report for one grid function."""
+    """Assemble sup, |Du|, |D^2 u| and [D^2 u]_alpha into the full 2+alpha
+    norm report for one grid function; [u]_alpha is scanned only if read."""
     grads, hess = fd_derivatives(fn)
     hess_flat = [e for row in hess for e in row]
     sup = fn.sup()
     grad_sup = _vector_sup(grads)
     hess_sup = _vector_sup(hess_flat)
-    sem_a = holder_seminorm(fn, alpha, max_dist, method)
     sem_2a = holder_seminorm_stack(hess_flat, alpha, max_dist, method)
     return HolderReport(sup=sup, grad_sup=grad_sup, hess_sup=hess_sup,
-                        seminorm_alpha=sem_a, seminorm_2alpha=sem_2a,
-                        norm_2alpha=sup + grad_sup + hess_sup + sem_2a)
+                        seminorm_2alpha=sem_2a,
+                        norm_2alpha=sup + grad_sup + hess_sup + sem_2a,
+                        _scan_alpha=partial(holder_seminorm, fn, alpha,
+                                            max_dist, method))
 
 
 def alpha_norm(fn, alpha, max_dist=1.0):

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 from scipy.integrate import quad
 
@@ -322,12 +323,49 @@ def _time_cells(lo, hi, breakpoints, n_sub):
 
 def _convolve(values, weights):
     """Direct-summation convolution with zero extension, returned on the
-    grid of ``values``: ``np.convolve`` on 1-D grids, ``ndimage.convolve``
-    otherwise.  ``weights`` has odd length along every axis."""
+    grid of ``values``; ``weights`` is centred, with odd length along every
+    axis.  1-D grids use ``np.convolve``.  For d >= 2 the sum runs on BLAS
+    as Toeplitz matrix products (``_convolve_planes``); in 3-D one call per
+    kernel plane takes every data plane that plane carries onto the grid."""
     if values.ndim == 1:
         m = (len(weights) - 1) // 2
         return np.convolve(values, weights)[m:m + len(values)]
-    return ndimage.convolve(values, weights, mode="constant", cval=0.0)
+    # crop or zero-pad to half-width n - 1 on every axis: taps beyond it
+    # never reach the grid
+    w = np.zeros(tuple(2 * n - 1 for n in values.shape))
+    src, dst = [], []
+    for k, n in zip(weights.shape, values.shape):
+        m = (k - 1) // 2
+        c = min(m, n - 1)
+        src.append(slice(m - c, m + c + 1))
+        dst.append(slice(n - 1 - c, n + c))
+    w[tuple(dst)] = weights[tuple(src)]
+    if values.ndim == 2:
+        return _convolve_planes(values, w)
+    n0 = len(values)
+    out = np.zeros(values.shape)
+    for a, plane in enumerate(w):
+        # kernel plane a carries data plane p to output plane p + a - n0 + 1
+        lo, hi = max(0, n0 - 1 - a), min(n0, 2 * n0 - 1 - a)
+        out[lo + a - n0 + 1:hi + a - n0 + 1] += _convolve_planes(
+            values[lo:hi], plane)
+    return out
+
+
+def _convolve_planes(values, weights):
+    """Convolve the last two axes of ``values``, of size (n0, n1), with
+    ``weights`` of shape (2 n0 - 1, 2 n1 - 1), zero extension.  One matrix
+    product convolves every data row with every kernel row; output row i
+    then adds data row p's result under kernel row i - p + n0 - 1."""
+    n0, n1 = values.shape[-2:]
+    # toeplitz[a, q', q] = weights[a, q - q' + n1 - 1]
+    toeplitz = sliding_window_view(weights, n1, axis=1)[:, ::-1]
+    rows = values @ toeplitz.transpose(1, 0, 2).reshape(n1, -1)
+    rows = rows.reshape(values.shape[:-1] + (2 * n0 - 1, n1))
+    out = np.zeros(values.shape)
+    for p in range(n0):
+        out += rows[..., p, n0 - 1 - p:2 * n0 - 1 - p, :]
+    return out
 
 
 def potential_G_multi(path, f, times, grid, t_end, n_time_sub=16,
@@ -340,8 +378,8 @@ def potential_G_multi(path, f, times, grid, t_end, n_time_sub=16,
     The cells are then walked grouped by midpoint, so f is evaluated once
     per distinct midpoint across all outputs, and each output still sums
     its cells in increasing midpoint order.  The space convolution is
-    direct summation: ``np.convolve`` in 1-D, ``ndimage.convolve`` for
-    d >= 2.
+    direct summation: ``np.convolve`` in 1-D, Toeplitz matrix products on
+    BLAS for d >= 2 (``_convolve``).
     """
     times = np.asarray(times, dtype=float)
     breaks = tuple(path.breakpoints) + tuple(f_breakpoints)
@@ -373,7 +411,7 @@ def potential_G(path, f, s, grid, t_end, n_time_sub=16, f_breakpoints=(),
     Time integration is composite midpoint split at the path's and the
     data's breakpoints; the space convolution is direct summation with the
     kernel truncated at ``tail_sigmas`` standard deviations, by
-    ``np.convolve`` in 1-D and ``ndimage.convolve`` for d >= 2.  A call
+    ``np.convolve`` in 1-D and Toeplitz matrix products for d >= 2.  A call
     for one time; ``potential_G_multi`` takes many at once and evaluates f
     once per distinct cell midpoint across them.
     """

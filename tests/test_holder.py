@@ -245,6 +245,26 @@ def test_norm_report_quadratic():
         + rep.seminorm_2alpha
 
 
+def test_norm_report_scans_seminorm_alpha_only_when_read(monkeypatch):
+    from schauderlab import holder
+    g = SpaceGrid(2, 1.5, 17)
+    fn = GridFn(g, np.sin(g.mesh()[0]) * np.cos(2.0 * g.mesh()[1]))
+    scans = []
+    pair_scan = holder._pair_scan
+
+    def counting(stack, *args):
+        scans.append(stack.shape[0])
+        return pair_scan(stack, *args)
+
+    monkeypatch.setattr(holder, "_pair_scan", counting)
+    rep = norm_2alpha(fn, 0.5)
+    assert scans == [4]  # the Hessian's entries only
+    assert rep.seminorm_alpha == holder_seminorm(fn, 0.5)
+    assert rep.seminorm_alpha == holder_seminorm(fn, 0.5)
+    assert scans == [4, 1, 1, 1]  # one scan on first read, then cached
+    assert rep == norm_2alpha(fn, 0.5)
+
+
 def test_norm_report_exponential_vs_analytic():
     g = SpaceGrid(1, 1.0, 257)
     fn = GridFn.from_callable(g, lambda x: np.exp(x))

