@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 
@@ -20,16 +21,28 @@ from .coeffspec import OperatorSpec, check_hypotheses
 from .errors import (ConfigError, ExprEvalError, ExprSyntaxError,
                      NumericalError, SchauderLabError, SpecError)
 from .expr import parse_expr
-from .holder import GridFn, SpaceGrid, fd_gradient, fd_laplacian
+from .holder import GridFn, SpaceGrid, SpaceTimeFn, fd_gradient, fd_laplacian
 from .kernel import TimeMatrixPath
 from .solver import (CauchyProblem, continuation_solve, semigroup_T,
                      solve_cauchy, solve_degenerate_c, solve_elliptic)
 from . import verify
 
 SCHEMA_VERSION = 1
-KNOWN_AUDITS = ("max_principle", "schauder", "time_holder",
-                "integral_residual", "gauge_independence", "localization",
-                "embedding")
+# audit name -> {option: kind}: "number" is a finite number, "numbers" a
+# list of them, "pair" a list of two
+SUITE_OPTIONS = {
+    "max_principle": {"threshold": "number"},
+    "schauder": {"beta_values": "numbers", "c_floor": "number",
+                 "threshold": "number"},
+    "time_holder": {"window": "pair", "ball_radius": "number",
+                    "threshold": "number"},
+    "integral_residual": {"threshold": "number"},
+    "gauge_independence": {"b0_steps": "numbers", "c0_levels": "numbers",
+                           "threshold": "number"},
+    "localization": {"eps": "number", "threshold": "number"},
+    "embedding": {"threshold": "number"},
+}
+KNOWN_AUDITS = tuple(SUITE_OPTIONS)
 MODES = ("cauchy", "degenerate", "elliptic", "semigroup", "continuation")
 SOLVER_DEFAULTS = {"theta": 0.5, "lin_tol": 1e-10, "lambda_step": 0.1,
                    "picard_tol": 1e-8, "tol_stat": 1e-8,
@@ -48,6 +61,34 @@ def _need(cfg, key, typ, reason):
     if not isinstance(val, typ):
         raise ConfigError(reason, f"key '{key}' has type {type(val).__name__}")
     return val
+
+
+def _is_number(val):
+    """A JSON number (not a boolean) that converts to a finite float."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
+
+
+def _check_suite_options(entry):
+    for key, kind in SUITE_OPTIONS[entry["name"]].items():
+        if key not in entry:
+            continue
+        val = entry[key]
+        if kind == "number":
+            ok = _is_number(val)
+        else:
+            ok = isinstance(val, list) and all(_is_number(v) for v in val) \
+                and (kind == "numbers" or len(val) == 2)
+        if not ok:
+            want = {"number": "a finite number",
+                    "numbers": "a list of finite numbers",
+                    "pair": "a list of two finite numbers"}[kind]
+            raise ConfigError(f"suite option {entry['name']}.{key} must be "
+                              f"{want}", repr(val))
 
 
 def _parse_field(text, label):
@@ -143,9 +184,12 @@ def load_config(path):
     for key, val in solver_cfg.items():
         if key not in defaults:
             raise ConfigError("unknown solver option", key)
-        if not isinstance(val, (int, float)):
+        if not _is_number(val):
             raise ConfigError("solver option must be numeric", key)
         defaults[key] = float(val)
+    if defaults["lin_tol"] <= 0.0:
+        raise ConfigError("solver.lin_tol must be positive",
+                          repr(defaults["lin_tol"]))
 
     suites = cfg.get("suites", [])
     if not isinstance(suites, list):
@@ -155,6 +199,7 @@ def load_config(path):
             raise ConfigError("each suite entry needs a name")
         if entry["name"] not in KNOWN_AUDITS:
             raise ConfigError("unknown audit name", entry["name"])
+        _check_suite_options(entry)
 
     seed = cfg.get("seed", 0)
     if not isinstance(seed, int):
@@ -346,10 +391,14 @@ def _reprs(values):
     return str(values.ravel().tolist())[1:-1].split(", ")
 
 
-def emit_csv(result, path):
+def emit_csv(result, path, t_stationary=None):
     """One row per (time, node): t, coordinates, u, u_t, |Du|, trace(D^2 u).
-    The coordinates are formatted once per grid and t once per slice."""
+    A stationary result, whose ``u`` is a GridFn, is one slice at time
+    ``t_stationary`` with u_t = 0.  The coordinates are formatted once per
+    grid and t once per slice."""
     u = result.u
+    if isinstance(u, GridFn):
+        u = SpaceTimeFn(u.grid, [t_stationary], u.values[None])
     grid = u.grid
     nodes = [",".join(xs) for xs in zip(*map(_reprs, grid.mesh()))]
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -446,7 +495,8 @@ def run(config_path, out_dir=".", seed=None, strict=False, verb="all"):
             result, summary = _run_solve(cfg)
             report["solves"].append(_jsonify(summary))
             if "csv" in out_paths and hasattr(result, "u"):
-                emit_csv(result, os.path.join(out_dir, out_paths["csv"]))
+                emit_csv(result, os.path.join(out_dir, out_paths["csv"]),
+                         t_stationary=cfg["spec"].time_window[1])
             if cfg["mode"] == "cauchy":
                 solve_cache["cauchy"] = result
 

@@ -6,6 +6,12 @@ diagonal directions, capped at pair distance ``max_dist`` (default 1).  A
 brute-force all-pairs mode exists for small grids and serves as the oracle
 for the structured scan.  NaN values mark missing nodes (for example after
 an interpolating shift) and are skipped by all scans.
+
+The norms of many time slices run batched: the ``*_slices`` functions take
+a stack of shape (k,) + grid.shape and make one pass over the directions
+and shifts for all k slices, in blocks of at most _BLOCK_VALUES stack
+values.  Each slice's result equals its one-slice call bit for bit, and
+the one-function calls are the one-slice case of the same code.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from .expr import ExprNode, GridField
 __all__ = [
     "SpaceGrid", "GridFn", "SpaceTimeFn", "HolderReport", "ConeSpec",
     "fd_gradient", "fd_hessian", "fd_laplacian", "apply_operator",
-    "holder_seminorm", "holder_seminorm_stack", "norm_2alpha", "alpha_norm",
+    "holder_seminorm", "holder_seminorm_stack", "holder_seminorm_slices",
+    "norm_2alpha", "norm_2alpha_slices", "alpha_norm", "alpha_norm_slices",
     "check_interpolation", "cone_directions", "cone_matrix_bound",
     "cone_entry_bounds", "embedding_check", "EmbeddingRow", "fd_derivatives",
 ]
@@ -201,12 +208,11 @@ def _field_slice(f, t, grid):
 # ---------------------------------------------------------------------------
 # finite differences
 
-def fd_gradient(fn):
-    """First derivatives: central differences inside, second-order one-sided
-    at the boundary. Returns one GridFn per axis."""
-    h = fn.grid.h
-    return tuple(GridFn(fn.grid, np.gradient(fn.values, h, axis=i, edge_order=2))
-                 for i in range(fn.grid.d))
+def _gradients(values, h, d):
+    """First derivatives along the last d axes of ``values`` (any leading
+    axis holds slices): central differences inside, second-order one-sided
+    at the boundary."""
+    return [np.gradient(values, h, axis=i - d, edge_order=2) for i in range(d)]
 
 
 def _second_diff(values, h, axis):
@@ -218,25 +224,42 @@ def _second_diff(values, h, axis):
     return np.moveaxis(out, 0, axis)
 
 
+def _hessian(values, h, d, grads):
+    """Second derivatives along the last d axes of ``values`` as a d x d
+    list of arrays, the symmetric pair sharing one array; ``grads`` is
+    _gradients(values, h, d) and is read only when d > 1."""
+    hess = [[None] * d for _ in range(d)]
+    for i in range(d):
+        hess[i][i] = _second_diff(values, h, i - d)
+        for j in range(i + 1, d):
+            m_ij = np.gradient(grads[i], h, axis=j - d, edge_order=2)
+            m_ji = np.gradient(grads[j], h, axis=i - d, edge_order=2)
+            hess[i][j] = hess[j][i] = 0.5 * (m_ij + m_ji)
+    return hess
+
+
+def fd_gradient(fn):
+    """First derivatives: central differences inside, second-order one-sided
+    at the boundary. Returns one GridFn per axis."""
+    return tuple(GridFn(fn.grid, g)
+                 for g in _gradients(fn.values, fn.grid.h, fn.grid.d))
+
+
 def fd_hessian(fn, grads=None):
     """Second derivatives as a d x d tuple of GridFns; diagonal entries by
     3-point stencils (one-sided 4-point at the boundary), mixed entries by
     first differences of ``grads``, symmetrized.  ``grads`` is
     fd_gradient(fn); it is taken here when not given and d > 1."""
     d = fn.grid.d
-    h = fn.grid.h
     if grads is None and d > 1:
         grads = fd_gradient(fn)
-    hess = [[None] * d for _ in range(d)]
+    hess = _hessian(fn.values, fn.grid.h, d,
+                    [g.values for g in grads] if d > 1 else None)
+    out = [[None] * d for _ in range(d)]
     for i in range(d):
-        hess[i][i] = GridFn(fn.grid, _second_diff(fn.values, h, i))
-        for j in range(i + 1, d):
-            m_ij = np.gradient(grads[i].values, h, axis=j, edge_order=2)
-            m_ji = np.gradient(grads[j].values, h, axis=i, edge_order=2)
-            sym = GridFn(fn.grid, 0.5 * (m_ij + m_ji))
-            hess[i][j] = sym
-            hess[j][i] = sym
-    return tuple(tuple(row) for row in hess)
+        for j in range(i, d):
+            out[i][j] = out[j][i] = GridFn(fn.grid, hess[i][j])
+    return tuple(tuple(row) for row in out)
 
 
 def fd_derivatives(fn):
@@ -306,44 +329,72 @@ def _shift_counts(kmax):
     return ks
 
 
-def _pair_scan(stack, grid, alpha, max_dist):
-    """Max over the structured pair set of |stack(x)-stack(y)|_2 / |x-y|^alpha.
+# A batched pass (derivatives, pair scan) over a stack of slices takes the
+# slices in blocks of at most this many stack values, so that its
+# temporaries stay near 1 MiB each whatever the number of slices.
+_BLOCK_VALUES = 1 << 17
 
-    ``stack`` has shape (m,) + grid.shape; the difference is measured in the
-    Euclidean norm over the m components.  Ties resolve to the value itself;
-    NaN entries never win a scan.
+
+def _blocks(k, slice_values):
+    """Consecutive slices of range(k), each covering at most _BLOCK_VALUES
+    values when one slice holds ``slice_values`` (at least one slice)."""
+    step = max(1, _BLOCK_VALUES // max(1, slice_values))
+    return [slice(lo, lo + step) for lo in range(0, k, step)]
+
+
+def _pair_scan(stack, grid, alpha, max_dist):
+    """Max over the structured pair set of |v(x)-v(y)|_2 / |x-y|^alpha.
+
+    ``stack`` holds the m components of one function, shape (m,) +
+    grid.shape, and the result is a float; or the components of k slices,
+    shape (m, k) + grid.shape, and the result is the array of the k maxima,
+    from one pass over the directions and shifts per block of slices.  The
+    difference is measured in the Euclidean norm over the m components,
+    summed in component order.  Ties resolve to the value itself; NaN
+    entries never win a scan.
     """
+    one = stack.ndim == grid.d + 1
+    if one:
+        stack = stack[:, None]
+    k = stack.shape[1]
+    best = np.empty(k)
+    for blk in _blocks(k, stack[:, :1].size):
+        best[blk] = _scan_block(stack[:, blk], grid, alpha, max_dist)
+    return float(best[0]) if one else best
+
+
+def _scan_block(stack, grid, alpha, max_dist):
+    """_pair_scan of one block, stack shape (m, k) + grid.shape."""
     h = grid.h
-    best = 0.0
+    k = stack.shape[1]
+    best = np.zeros(k)
+    lead = (slice(None), slice(None))
     for div in _integer_directions(grid.d):
         step_len = h * float(np.linalg.norm(div))
         kmax = int(np.floor(max_dist / step_len + 1e-12))
-        for k in _shift_counts(kmax):
+        reach = int(np.max(np.abs(div)))
+        for s in _shift_counts(kmax):
+            if reach * s >= grid.n:
+                continue  # no pair at this shift lies inside the grid
             src = [slice(None)] * grid.d
             dst = [slice(None)] * grid.d
             for ax, comp in enumerate(div):
-                off = int(comp) * k
+                off = int(comp) * s
                 if off > 0:
                     src[ax] = slice(0, grid.n - off)
                     dst[ax] = slice(off, grid.n)
                 elif off < 0:
                     src[ax] = slice(-off, grid.n)
                     dst[ax] = slice(0, grid.n + off)
-            a = stack[(slice(None),) + tuple(src)]
-            b = stack[(slice(None),) + tuple(dst)]
-            diff = a - b
+            diff = stack[lead + tuple(src)] - stack[lead + tuple(dst)]
             mag2 = np.einsum("m...,m...->...", diff, diff)
             if not mag2.size:
                 continue
             with np.errstate(invalid="ignore"):
-                top = np.nanmax(mag2)
-            if np.isnan(top):
-                continue
-            dist = k * step_len
-            q = np.sqrt(top) / dist ** alpha
-            if q > best:
-                best = q
-    return float(best)
+                top = np.nanmax(mag2.reshape(k, -1), axis=1)
+            q = np.sqrt(top) / (s * step_len) ** alpha
+            best = np.where(q > best, q, best)
+    return best
 
 
 def _pair_scan_exact(stack, grid, alpha, max_dist):
@@ -371,6 +422,33 @@ def _pair_scan_exact(stack, grid, alpha, max_dist):
     return best
 
 
+def _seminorm(stack, grid, alpha, max_dist, method):
+    """The seminorm of a component stack by ``method``: a float for shape
+    (m,) + grid.shape, an array of k for (m, k) + grid.shape."""
+    if not (0.0 < alpha < 1.0):
+        raise SpecError(f"alpha must lie in (0, 1), got {alpha}")
+    if method == "structured":
+        return _pair_scan(stack, grid, alpha, max_dist)
+    if method == "exact":
+        if stack.ndim == grid.d + 1:
+            return _pair_scan_exact(stack, grid, alpha, max_dist)
+        return np.array([_pair_scan_exact(stack[:, i], grid, alpha, max_dist)
+                         for i in range(stack.shape[1])])
+    raise SpecError(f"unknown seminorm method {method!r}")
+
+
+def _slices(values, grid):
+    """``values`` as a float stack of slices, shape (k,) + grid.shape, with
+    the checks of GridFn."""
+    values = np.asarray(values, dtype=float)
+    if values.shape[1:] != grid.shape:
+        raise SpecError(f"slice shape {values.shape[1:]} != grid shape "
+                        f"{grid.shape}")
+    if np.any(np.isinf(values)):
+        raise SpecError("grid function contains infinities")
+    return values
+
+
 def holder_seminorm(fn, alpha, max_dist=1.0, method="structured"):
     """Estimate the Holder-alpha seminorm of a grid function over pairs with
     |x - y| <= max_dist (0/0 counts as 0)."""
@@ -383,15 +461,16 @@ def holder_seminorm_stack(fns, alpha, max_dist=1.0, method="structured"):
     fns = list(fns)
     if not fns:
         raise SpecError("Holder seminorm needs at least one component")
-    if not (0.0 < alpha < 1.0):
-        raise SpecError(f"alpha must lie in (0, 1), got {alpha}")
-    grid = fns[0].grid
-    stack = np.stack([f.values for f in fns])
-    if method == "structured":
-        return _pair_scan(stack, grid, alpha, max_dist)
-    if method == "exact":
-        return _pair_scan_exact(stack, grid, alpha, max_dist)
-    raise SpecError(f"unknown seminorm method {method!r}")
+    return _seminorm(np.stack([f.values for f in fns]), fns[0].grid, alpha,
+                     max_dist, method)
+
+
+def holder_seminorm_slices(values, grid, alpha, max_dist=1.0):
+    """holder_seminorm of every slice of ``values``, shape (k,) +
+    grid.shape, as a list of k floats from one batched scan."""
+    values = _slices(values, grid)
+    return _seminorm(values[None], grid, alpha, max_dist,
+                     "structured").tolist()
 
 
 @dataclass(frozen=True)
@@ -411,33 +490,77 @@ class HolderReport:
         return self._scan_alpha()
 
 
-def _vector_sup(fns):
-    sq = np.zeros(fns[0].values.shape)
-    for f in fns:
-        sq = sq + f.values ** 2
-    val = np.sqrt(sq)
-    return float(np.nanmax(val)) if val.size else 0.0
+def _slice_sup(values):
+    """nanmax over each slice (axis 0) of ``values``."""
+    return np.nanmax(values.reshape(len(values), -1), axis=1)
+
+
+def _vector_sup(arrays):
+    """Per slice, the sup of the Euclidean norm over the component arrays
+    (each of shape (k,) + grid.shape), summed in component order."""
+    sq = np.zeros(arrays[0].shape)
+    for a in arrays:
+        sq = sq + a ** 2
+    return _slice_sup(np.sqrt(sq))
+
+
+def _derivative_blocks(values, grid):
+    """For each block of slices of ``values``, shape (k,) + grid.shape: the
+    block, its gradient (a list of d arrays) and its Hessian entries in
+    row-major order stacked to shape (d*d, b) + grid.shape, by the stencils
+    of fd_derivatives bit for bit.  Like GridFn, an infinity in the values
+    or a derivative raises SpecError."""
+    values = _slices(values, grid)
+    d, h = grid.d, grid.h
+    for blk in _blocks(len(values), d * d * grid.n ** d):
+        v = values[blk]
+        grads = _gradients(v, h, d)
+        hess = np.stack([e for row in _hessian(v, h, d, grads) for e in row])
+        if any(np.any(np.isinf(a)) for a in (*grads, hess)):
+            raise SpecError("grid function contains infinities")
+        yield v, grads, hess
 
 
 def norm_2alpha(fn, alpha, max_dist=1.0, method="structured"):
     """Assemble sup, |Du|, |D^2 u| and [D^2 u]_alpha into the full 2+alpha
     norm report for one grid function; [u]_alpha is scanned only if read."""
-    grads, hess = fd_derivatives(fn)
-    hess_flat = [e for row in hess for e in row]
-    sup = fn.sup()
-    grad_sup = _vector_sup(grads)
-    hess_sup = _vector_sup(hess_flat)
-    sem_2a = holder_seminorm_stack(hess_flat, alpha, max_dist, method)
-    return HolderReport(sup=sup, grad_sup=grad_sup, hess_sup=hess_sup,
-                        seminorm_2alpha=sem_2a,
-                        norm_2alpha=sup + grad_sup + hess_sup + sem_2a,
-                        _scan_alpha=partial(holder_seminorm, fn, alpha,
-                                            max_dist, method))
+    return norm_2alpha_slices(fn.values[None], fn.grid, alpha, max_dist,
+                              method)[0]
+
+
+def norm_2alpha_slices(values, grid, alpha, max_dist=1.0, method="structured"):
+    """norm_2alpha of every slice of ``values``, shape (k,) + grid.shape, as
+    a list of k reports.  Derivatives, sups and the [D^2 u]_alpha scan run
+    on blocks of slices at once, by the same stencils and in the same
+    summation order as for one slice, so each report equals the one-slice
+    report bit for bit."""
+    reports = []
+    for v, grads, hess in _derivative_blocks(values, grid):
+        parts = zip(_slice_sup(np.abs(v)).tolist(), _vector_sup(grads).tolist(),
+                    _vector_sup(hess).tolist(),
+                    _seminorm(hess, grid, alpha, max_dist, method).tolist())
+        for vi, (sup, grad_sup, hess_sup, sem_2a) in zip(v, parts):
+            reports.append(HolderReport(
+                sup=sup, grad_sup=grad_sup, hess_sup=hess_sup,
+                seminorm_2alpha=sem_2a,
+                norm_2alpha=sup + grad_sup + hess_sup + sem_2a,
+                _scan_alpha=partial(_seminorm, vi[None], grid, alpha,
+                                    max_dist, method)))
+    return reports
 
 
 def alpha_norm(fn, alpha, max_dist=1.0):
     """sup + Holder seminorm (the C^alpha norm of a slice)."""
-    return fn.sup() + holder_seminorm(fn, alpha, max_dist)
+    return alpha_norm_slices(fn.values[None], fn.grid, alpha, max_dist)[0]
+
+
+def alpha_norm_slices(values, grid, alpha, max_dist=1.0):
+    """alpha_norm of every slice of ``values``, shape (k,) + grid.shape, as
+    a list of k floats."""
+    values = _slices(values, grid)
+    sems = _seminorm(values[None], grid, alpha, max_dist, "structured")
+    return [s + q for s, q in zip(_slice_sup(np.abs(values)).tolist(),
+                                  sems.tolist())]
 
 
 def check_interpolation(fns, alpha, eps_list):
@@ -614,41 +737,43 @@ def embedding_check(u, alpha, anchor, h_list, max_dist=1.0):
     t0 = float(u.times[kt])
     node = u.grid.nearest_index(x_anchor)
 
-    d = u.grid.d
-    cache = {}
-
-    def derivs(k):
-        """Du, D^2 u and [u_t]_alpha + [D^2 u]_alpha of slice k."""
-        if k not in cache:
-            grads, hess = fd_derivatives(u.slice_fn(k))
-            flat = [e for row in hess for e in row]
-            cache[k] = (grads, hess,
-                        holder_seminorm(u.dt_fn(k), alpha, max_dist)
-                        + holder_seminorm_stack(flat, alpha, max_dist))
-        return cache[k]
-
-    rows = []
+    rows = []   # (h, index of the slice at t - h^2, h_used)
     for h in h_list:
         target = t0 - h * h
         if target < u.times[0] - 1e-12:
             raise SpecError(f"t - h^2 = {target} below the stored time range")
         ks = u.nearest_time_index(target)
-        h_used = float(np.sqrt(max(t0 - u.times[ks], 0.0)))
+        rows.append((h, ks, float(np.sqrt(max(t0 - u.times[ks], 0.0)))))
+    used = [ks for _, ks, h_used in rows if h_used > 0.0]
+    if used:
+        # every slice a row reads lies in the widest row's window
+        window = [k for k in range(len(u.times))
+                  if u.times[min(used)] - 1e-12 <= u.times[k] <= t0 + 1e-12]
+        lo, hi = window[0], window[-1] + 1
+        at = (slice(None), slice(None)) + node
+        grads, hess, sem = [], [], []
+        for _, g, hs in _derivative_blocks(u.values[lo:hi], u.grid):
+            grads.extend(np.stack(g)[at].T)
+            hess.extend(hs[at].T)
+            sem.extend(_pair_scan(hs, u.grid, alpha, max_dist).tolist())
+        # I of slice k: [u_t(k, .)]_alpha + [D^2 u(k, .)]_alpha
+        ih = [a + b for a, b in zip(holder_seminorm_slices(
+            u.dt_values[lo:hi], u.grid, alpha, max_dist), sem)]
+
+    out = []
+    for h, ks, h_used in rows:
         if h_used == 0.0:
-            rows.append(EmbeddingRow(h, h_used, 0.0, 0.0, 0.0))
+            out.append(EmbeddingRow(h, h_used, 0.0, 0.0, 0.0))
             continue
-        g1, hs1, _ = derivs(kt)
-        g0, hs0, _ = derivs(ks)
-        dgrad = np.sqrt(sum((g1[i].values[node] - g0[i].values[node]) ** 2
-                            for i in range(d)))
-        dhess = np.sqrt(sum((hs1[i][j].values[node] - hs0[i][j].values[node]) ** 2
-                            for i in range(d) for j in range(d)))
-        in_window = [k for k in range(len(u.times))
-                     if u.times[ks] - 1e-12 <= u.times[k] <= t0 + 1e-12]
-        ih = max(derivs(k)[2] for k in in_window)
-        rows.append(EmbeddingRow(
+        g1, g0 = grads[kt - lo], grads[ks - lo]
+        hs1, hs0 = hess[kt - lo], hess[ks - lo]
+        dgrad = np.sqrt(sum((g1 - g0) ** 2))  # summed in component order
+        dhess = np.sqrt(sum((hs1 - hs0) ** 2))
+        ih_h = max(ih[k - lo] for k in range(len(u.times))
+                   if u.times[ks] - 1e-12 <= u.times[k] <= t0 + 1e-12)
+        out.append(EmbeddingRow(
             h_requested=float(h), h_used=h_used,
-            r1=float(_ratio(dgrad, ih, 1.0 + alpha, h_used)),
-            r2=float(_ratio(dhess, ih, alpha, h_used)),
-            I_h=float(ih)))
-    return rows
+            r1=float(_ratio(dgrad, ih_h, 1.0 + alpha, h_used)),
+            r2=float(_ratio(dhess, ih_h, alpha, h_used)),
+            I_h=float(ih_h)))
+    return out

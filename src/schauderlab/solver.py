@@ -38,7 +38,8 @@ from .expr import Binary, Call, Num, Var, clamp
 # it under this name
 from .expr import evaluate  # noqa: F401
 from .holder import (GridFn, SpaceGrid, SpaceTimeFn, _field_slice,
-                     alpha_norm, apply_operator, fd_laplacian, norm_2alpha)
+                     alpha_norm_slices, apply_operator, fd_laplacian,
+                     norm_2alpha_slices)
 from .kernel import heat_solve
 
 __all__ = [
@@ -461,11 +462,11 @@ def solve_degenerate_c(problem, delta_shift=1.0):
 def _frak_norm(u, alpha):
     """sup_t |u_t(t,.)|_alpha + sup_t |u(t,.)|_(2+alpha), finite maxima over
     the stored slices."""
-    worst_dt = 0.0
-    worst_u = 0.0
-    for k in range(len(u.times)):
-        worst_dt = max(worst_dt, alpha_norm(u.dt_fn(k), alpha))
-        worst_u = max(worst_u, norm_2alpha(u.slice_fn(k), alpha).norm_2alpha)
+    if not u.has_dt:
+        raise SpecError("no stored time derivative")
+    worst_dt = max([0.0] + alpha_norm_slices(u.dt_values, u.grid, alpha))
+    worst_u = max([0.0] + [r.norm_2alpha for r in
+                           norm_2alpha_slices(u.values, u.grid, alpha)])
     return worst_dt + worst_u
 
 

@@ -20,8 +20,8 @@ from .coeffspec import check_hypotheses
 from .errors import NumericalError, SpecError
 from .holder import (GridFn, SpaceTimeFn, _field_slice, _operator_sum,
                      apply_operator, embedding_check, fd_derivatives,
-                     fd_hessian, holder_seminorm, holder_seminorm_stack,
-                     norm_2alpha)
+                     fd_hessian, holder_seminorm_slices,
+                     holder_seminorm_stack, norm_2alpha, norm_2alpha_slices)
 from .kernel import potential_G_multi
 from .solver import (_stack_coefficients, eval_coefficients, solve_cauchy,
                      truncate_coeffs)
@@ -83,18 +83,17 @@ def model_solution(path, f, times, grid, t_end, n_time_sub=16,
 
 
 def _model_ratio_parts(u, path, alpha, measure_index, max_dist):
-    """(u_t + a(s):D^2 u)(s,.) for stored s >= t = times[measure_index],
-    [D^2 u(t,.)]_alpha and the max of the former's alpha seminorms, from
-    one Hessian per slice."""
+    """(u_t + a(s):D^2 u)(s,.) for stored s >= t = times[measure_index] as
+    one stack of slices, [D^2 u(t,.)]_alpha and the max of the former's
+    alpha seminorms, from one Hessian per slice."""
     ks = range(measure_index, len(u.times))
     hess = [fd_hessian(u.slice_fn(k)) for k in ks]
-    ops = [u.dt_values[k] + _operator_sum(u.slice_fn(k), None, hs,
-                                          path.eval(float(u.times[k])))
-           for k, hs in zip(ks, hess)]
+    ops = np.stack([u.dt_values[k] + _operator_sum(
+                        u.slice_fn(k), None, hs, path.eval(float(u.times[k])))
+                    for k, hs in zip(ks, hess)])
     num = holder_seminorm_stack([e for row in hess[0] for e in row], alpha,
                                 max_dist)
-    den = max(holder_seminorm(GridFn(u.grid, op), alpha, max_dist)
-              for op in ops)
+    den = max(holder_seminorm_slices(ops, u.grid, alpha, max_dist))
     return ops, num, den
 
 
@@ -145,10 +144,8 @@ def audit_schauder(problems, alpha, threshold=2.0, hyp_counts=(7, 2, 4),
         spec = prob.spec if prob.n_trunc < 1 else truncate_coeffs(prob.spec, prob.n_trunc)
         rep = check_hypotheses(spec, prob.grid.radius, *hyp_counts)
         res = solve_cauchy(prob)
-        worst = 0.0
-        for k in range(len(res.u.times)):
-            worst = max(worst, norm_2alpha(res.u.slice_fn(k), alpha,
-                                           max_dist).norm_2alpha)
+        worst = max([0.0] + [r.norm_2alpha for r in norm_2alpha_slices(
+            res.u.values, res.u.grid, alpha, max_dist)])
         denom = rep.F0 + rep.Falpha
         if include_g_norm:
             denom += norm_2alpha(prob.g, alpha, max_dist).norm_2alpha
@@ -321,12 +318,11 @@ def audit_gauge_independence(path, b0_levels, c0_levels, f, times, grid,
                                                     grid)))
         num = holder_seminorm_stack([e for row in hess for e in row], alpha,
                                     max_dist)
-        den = 0.0
-        for k, op in enumerate(denom_slices, m_idx):
-            shift_nodes = -b0 * float(u.times[k]) / grid.h
-            shifted = _shift_slice(op, shift_nodes, grid)
-            den = max(den, holder_seminorm(GridFn(grid, shifted), alpha,
-                                           max_dist))
+        shifted = np.stack([
+            _shift_slice(op, -b0 * float(u.times[k]) / grid.h, grid)
+            for k, op in enumerate(denom_slices, m_idx)])
+        den = max([0.0] + holder_seminorm_slices(shifted, grid, alpha,
+                                                 max_dist))
         ratio = num / den if den > 0 else np.inf
         rel = abs(ratio - base_ratio) / base_ratio
         label = "b0=" + ",".join(f"{v:g}" for v in b0)
@@ -335,10 +331,8 @@ def audit_gauge_independence(path, b0_levels, c0_levels, f, times, grid,
 
     for c0 in c0_levels:
         c0 = float(c0)
-        den = 0.0
-        for k, op in enumerate(denom_slices, m_idx):
-            den = max(den, holder_seminorm(GridFn(grid, op - c0 * u.values[k]),
-                                           alpha, max_dist))
+        den = max([0.0] + holder_seminorm_slices(
+            denom_slices - c0 * u.values[m_idx:], grid, alpha, max_dist))
         ratio = base_num / den if den > 0 else np.inf
         excess = max(0.0, ratio / base_ratio - 1.0)
         label = f"c0={c0:g}"

@@ -205,3 +205,40 @@ def test_schema_document_names_every_key(tmp_path, monkeypatch):
     assert {"schema_version", "time_window", "n_time", "suites"} <= keys
     missing = sorted(k for k in keys if f"`{k}`" not in doc)
     assert not missing, f"keys missing from docs/config_schema.md: {missing}"
+
+
+def test_elliptic_mode_writes_report_and_stationary_csv(tmp_path):
+    cfg = write_cfg(tmp_path, {"mode": "elliptic", "problem.f": "exp(-x1^2)",
+                               "suites": []})
+    out = str(tmp_path / "out")
+    assert main(["all", "--config", cfg, "--out", out]) == 0
+    rep = read_report(out)
+    assert rep["solves"][0]["mode"] == "elliptic"
+    with open(os.path.join(out, "solution.csv")) as fh:
+        header = fh.readline().strip()
+        rows = [line.split(",") for line in fh.read().splitlines()]
+    assert header == "t,x1,u,ut,grad_norm,hess_trace"
+    # one slice at t = S with u_t = 0
+    assert len(rows) == MINIMAL["grid"]["n"]
+    assert {r[0] for r in rows} == {"1.0"}
+    assert {r[3] for r in rows} == {"0.0"}
+    assert max(abs(float(r[2])) for r in rows) == rep["solves"][0]["sup_u"]
+
+
+@pytest.mark.parametrize("patch", [
+    {"suites": [{"name": "integral_residual", "threshold": "x"}]},
+    {"suites": [{"name": "localization", "eps": "a"}]},
+    {"suites": [{"name": "schauder", "beta_values": "abc"}]},
+    {"suites": [{"name": "schauder", "beta_values": [1.0, "b"]}]},
+    {"suites": [{"name": "time_holder", "window": [0.2]}]},
+    {"suites": [{"name": "max_principle", "threshold": float("nan")}]},
+    {"suites": [{"name": "embedding", "threshold": True}]},
+    {"solver": {"lin_tol": -1}},
+    {"solver": {"lin_tol": 0}},
+    {"solver": {"theta": True}},
+])
+def test_bad_option_values_exit_3_with_report(tmp_path, patch):
+    cfg = write_cfg(tmp_path, patch)
+    out = str(tmp_path / "out")
+    assert main(["all", "--config", cfg, "--out", out]) == 3
+    assert read_report(out)["error"]["kind"] == "config"

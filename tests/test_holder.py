@@ -1,16 +1,22 @@
 """Grids, finite differences, Holder seminorms, cone lemma, embedding."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schauderlab import holder
 from schauderlab.errors import SpecError
 from schauderlab.holder import (ConeSpec, GridFn, SpaceGrid, SpaceTimeFn,
+                                alpha_norm, alpha_norm_slices,
                                 apply_operator, check_interpolation,
                                 cone_entry_bounds,
                                 cone_matrix_bound, embedding_check,
                                 fd_gradient, fd_hessian, holder_seminorm,
-                                holder_seminorm_stack, norm_2alpha)
+                                holder_seminorm_slices,
+                                holder_seminorm_stack, norm_2alpha,
+                                norm_2alpha_slices)
 
 
 def grid1(radius=1.0, n=129):
@@ -223,6 +229,177 @@ def test_nan_nodes_are_skipped():
     vals[10] = np.nan
     s = holder_seminorm(GridFn(g, vals), 0.5)
     assert np.isfinite(s) and s > 0
+
+
+# -- batched scans and norms against the per-slice algorithm ----------------
+
+def _reference_scan(stack, grid, alpha, max_dist):
+    """The per-slice pair scan, one shift at a time: stack (m,) + shape."""
+    best = 0.0
+    for div in holder._integer_directions(grid.d):
+        step_len = grid.h * float(np.linalg.norm(div))
+        kmax = int(np.floor(max_dist / step_len + 1e-12))
+        for k in holder._shift_counts(kmax):
+            if np.max(np.abs(div)) * k >= grid.n:
+                continue  # no pair at this shift inside the grid
+            src = [slice(None)] * grid.d
+            dst = [slice(None)] * grid.d
+            for ax, comp in enumerate(div):
+                off = int(comp) * k
+                if off > 0:
+                    src[ax], dst[ax] = slice(0, grid.n - off), slice(off, grid.n)
+                elif off < 0:
+                    src[ax], dst[ax] = slice(-off, grid.n), slice(0, grid.n + off)
+            diff = stack[(slice(None),) + tuple(src)] \
+                - stack[(slice(None),) + tuple(dst)]
+            mag2 = np.einsum("m...,m...->...", diff, diff)
+            if not mag2.size:
+                continue
+            with np.errstate(invalid="ignore"):
+                top = np.nanmax(mag2)
+            if np.isnan(top):
+                continue
+            q = np.sqrt(top) / (k * step_len) ** alpha
+            if q > best:
+                best = q
+    return float(best)
+
+
+def _reference_norm(v, grid, alpha, max_dist):
+    """(sup, grad_sup, hess_sup, [D^2 v]_alpha, 2+alpha norm) of one
+    slice: the stencils of fd_gradient and fd_hessian, then one scan."""
+    d, h = grid.d, grid.h
+    grads = [np.gradient(v, h, axis=i, edge_order=2) for i in range(d)]
+    hess = [[None] * d for _ in range(d)]
+    for i in range(d):
+        w = np.moveaxis(v, i, 0)
+        dd = np.empty_like(w)
+        dd[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / h ** 2
+        dd[0] = (2.0 * w[0] - 5.0 * w[1] + 4.0 * w[2] - w[3]) / h ** 2
+        dd[-1] = (2.0 * w[-1] - 5.0 * w[-2] + 4.0 * w[-3] - w[-4]) / h ** 2
+        hess[i][i] = np.moveaxis(dd, 0, i)
+        for j in range(i + 1, d):
+            hess[i][j] = hess[j][i] = 0.5 * (
+                np.gradient(grads[i], h, axis=j, edge_order=2)
+                + np.gradient(grads[j], h, axis=i, edge_order=2))
+    flat = [e for row in hess for e in row]
+
+    def vector_sup(arrays):
+        sq = np.zeros(v.shape)
+        for a in arrays:
+            sq = sq + a ** 2
+        return float(np.nanmax(np.sqrt(sq)))
+
+    sup = float(np.nanmax(np.abs(v)))
+    grad_sup, hess_sup = vector_sup(grads), vector_sup(flat)
+    sem = _reference_scan(np.stack(flat), grid, alpha, max_dist)
+    return sup, grad_sup, hess_sup, sem, sup + grad_sup + hess_sup + sem
+
+
+def _same(a, b):
+    """Equal as floats, NaN matching NaN."""
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+@st.composite
+def slice_stacks(draw):
+    """(grid, values (k,) + shape, m) with NaN nodes and at times one
+    all-NaN slice."""
+    d = draw(st.sampled_from([1, 2]))
+    grid = SpaceGrid(d, draw(st.sampled_from([0.5, 1.0, 3.0])),
+                     draw(st.integers(5, 17)))
+    k = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.normal(size=(k,) + grid.shape) \
+        * 10.0 ** rng.integers(-3, 4, size=(k,) + (1,) * d)
+    values[rng.random(values.shape) < draw(st.sampled_from([0.0, 0.05, 0.3]))] \
+        = np.nan
+    if draw(st.booleans()):
+        values[draw(st.integers(0, k - 1))] = np.nan
+    return grid, values, draw(st.sampled_from([1, d * d]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(slice_stacks(), st.sampled_from([0.2, 0.5, 0.9]),
+       st.sampled_from([0.3, 1.0, 40.0]), st.sampled_from([1, 60, None]))
+@pytest.mark.filterwarnings("ignore:All-NaN slice:RuntimeWarning")
+def test_batched_norms_equal_per_slice_algorithm(case, alpha, max_dist, block):
+    grid, values, m = case
+    k = len(values)
+    # m component slices per stack slice: the values and shifted copies
+    comps = np.stack([np.roll(values, c, axis=0) for c in range(m)])
+    with mock.patch.object(holder, "_BLOCK_VALUES",
+                           block or holder._BLOCK_VALUES):
+        scans = holder._pair_scan(comps, grid, alpha, max_dist)
+        sems = holder_seminorm_slices(values, grid, alpha, max_dist)
+        alphas = alpha_norm_slices(values, grid, alpha, max_dist)
+        reports = norm_2alpha_slices(values, grid, alpha, max_dist)
+    assert len(scans) == len(sems) == len(alphas) == len(reports) == k
+    for i in range(k):
+        assert _same(scans[i], _reference_scan(comps[:, i], grid, alpha,
+                                               max_dist))
+        sem = _reference_scan(values[i][None], grid, alpha, max_dist)
+        assert _same(sems[i], sem)
+        assert _same(alphas[i], float(np.nanmax(np.abs(values[i]))) + sem)
+        rep = reports[i]
+        got = (rep.sup, rep.grad_sup, rep.hess_sup, rep.seminorm_2alpha,
+               rep.norm_2alpha)
+        want = _reference_norm(values[i], grid, alpha, max_dist)
+        assert all(map(_same, got, want)), (got, want)
+        assert _same(rep.seminorm_alpha, sem)
+        one = norm_2alpha(GridFn(grid, values[i]), alpha, max_dist)
+        assert all(map(_same, got, (one.sup, one.grad_sup, one.hess_sup,
+                                    one.seminorm_2alpha, one.norm_2alpha)))
+        assert _same(alpha_norm(GridFn(grid, values[i]), alpha, max_dist),
+                     alphas[i])
+
+
+@settings(max_examples=30, deadline=None)
+@given(slice_stacks(), st.sampled_from([0.3, 0.5, 0.8]))
+@pytest.mark.filterwarnings("ignore:All-NaN slice:RuntimeWarning")
+def test_batched_scan_bounded_by_exact_oracle(case, alpha):
+    grid, values, m = case
+    comps = np.stack([np.roll(values, c, axis=0) for c in range(m)])
+    scans = holder._pair_scan(comps, grid, alpha, 1.0)
+    for i, s in enumerate(scans):
+        e = holder._pair_scan_exact(comps[:, i], grid, alpha, 1.0)
+        assert s <= e * (1.0 + 1e-12)
+
+
+def test_batched_scan_bounded_by_exact_oracle_at_n64():
+    g = SpaceGrid(1, 1.0, 64)
+    values = np.random.default_rng(5).normal(size=(4,) + g.shape)
+    values[1, 7] = np.nan
+    for s, v in zip(holder_seminorm_slices(values, g, 0.5), values):
+        e = holder._pair_scan_exact(v[None], g, 0.5, 1.0)
+        assert 0.5 * e <= s <= e * (1.0 + 1e-12)
+
+
+def test_scan_on_a_box_narrower_than_max_dist():
+    # shifts that reach past the grid hold no pair and are skipped
+    g = SpaceGrid(1, 0.25, 9)
+    fn = GridFn(g, g.axis())
+    assert holder_seminorm(fn, 0.5) == pytest.approx(np.sqrt(0.5), rel=1e-15)
+    assert holder_seminorm(fn, 0.5) <= holder_seminorm(fn, 0.5, method="exact")
+
+
+def test_batched_norms_reject_infinities():
+    g = SpaceGrid(2, 1.0, 9)
+    values = np.zeros((3,) + g.shape)
+    values[1, 4, 4] = np.inf
+    for batched in (holder_seminorm_slices, alpha_norm_slices,
+                    norm_2alpha_slices):
+        with pytest.raises(SpecError):
+            batched(values, g, 0.5)
+    # a finite slice whose differences overflow, as fd_derivatives rejects it
+    values[1, 4, 4] = 0.0
+    values[2, ::2] = 1e308
+    values[2, 1::2] = -1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SpecError):
+            fd_gradient(GridFn(g, values[2]))
+        with pytest.raises(SpecError):
+            norm_2alpha_slices(values, g, 0.5)
 
 
 # -- norm report ------------------------------------------------------------
