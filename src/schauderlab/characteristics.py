@@ -234,26 +234,14 @@ def _drift_profile(b0, d):
     return True, arr
 
 
-def _cumulative_scalar(fn, t, n_per_unit=512):
-    """integral of fn over (0, t) by composite midpoint, sign-aware."""
-    if t == 0.0:
-        return 0.0
+def _cumulative(values_at, t, n_per_unit=512):
+    """Integral over (0, t) by composite midpoint, sign-aware: ``values_at``
+    maps the n midpoints to values of shape (n,) or (n, d), summed along
+    the first axis."""
     lo, hi = (0.0, t) if t > 0 else (t, 0.0)
     n = max(1, int(np.ceil((hi - lo) * n_per_unit)))
     mids = lo + (np.arange(n) + 0.5) * (hi - lo) / n
-    vals = np.asarray(fn(mids), dtype=float)
-    total = float(np.sum(vals) * (hi - lo) / n)
-    return total if t > 0 else -total
-
-
-def _cumulative_vector(prof, t, d, n_per_unit=512):
-    """Componentwise integral of a callable t -> R^d over (0, t)."""
-    if t == 0.0:
-        return np.zeros(d)
-    lo, hi = (0.0, t) if t > 0 else (t, 0.0)
-    n = max(1, int(np.ceil((hi - lo) * n_per_unit)))
-    mids = lo + (np.arange(n) + 0.5) * (hi - lo) / n
-    vals = np.stack([prof(float(m)) for m in mids])  # (n, d)
+    vals = np.asarray(values_at(mids), dtype=float)
     total = vals.sum(axis=0) * (hi - lo) / n
     return total if t > 0 else -total
 
@@ -305,7 +293,9 @@ def gauge_translate(u, b0, n_per_unit=512):
             shift = prof * t
         else:
             b_here = prof(float(t))
-            shift = _cumulative_vector(prof, float(t), d, n_per_unit)
+            shift = _cumulative(
+                lambda mids: np.stack([prof(float(m)) for m in mids]),
+                float(t), n_per_unit)
         shift_nodes = shift / u.grid.h
         values[k] = _shift_slice(u.values[k], shift_nodes, u.grid)
         if dt_vals is not None:
@@ -334,7 +324,7 @@ def gauge_exp(u, c0, n_per_unit=512):
     dt_vals = np.empty_like(u.values) if u.has_dt else None
     for k, t in enumerate(u.times):
         if callable(c0):
-            big_c = _cumulative_scalar(c_arr, float(t), n_per_unit)
+            big_c = _cumulative(c_arr, float(t), n_per_unit)
         else:
             big_c = c_val * float(t)
         scale = np.exp(-big_c)

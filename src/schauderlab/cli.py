@@ -29,7 +29,7 @@ from . import verify
 
 SCHEMA_VERSION = 1
 # audit name -> {option: kind}: "number" is a finite number, "numbers" a
-# list of them, "pair" a list of two
+# list of them, "pair" an increasing list of two
 SUITE_OPTIONS = {
     "max_principle": {"threshold": "number"},
     "schauder": {"beta_values": "numbers", "c_floor": "number",
@@ -82,11 +82,11 @@ def _check_suite_options(entry):
             ok = _is_number(val)
         else:
             ok = isinstance(val, list) and all(_is_number(v) for v in val) \
-                and (kind == "numbers" or len(val) == 2)
+                and (kind == "numbers" or len(val) == 2 and val[0] < val[1])
         if not ok:
             want = {"number": "a finite number",
                     "numbers": "a list of finite numbers",
-                    "pair": "a list of two finite numbers"}[kind]
+                    "pair": "an increasing pair of finite numbers"}[kind]
             raise ConfigError(f"suite option {entry['name']}.{key} must be "
                               f"{want}", repr(val))
 
@@ -393,10 +393,10 @@ def _reprs(values):
 
 def emit_csv(result, path, t_stationary=None):
     """One row per (time, node): t, coordinates, u, u_t, |Du|, trace(D^2 u).
-    A stationary result, whose ``u`` is a GridFn, is one slice at time
-    ``t_stationary`` with u_t = 0.  The coordinates are formatted once per
-    grid and t once per slice."""
-    u = result.u
+    A stationary result, whose ``u`` is a GridFn, and a bare GridFn (the
+    semigroup's T_t g) are one slice at time ``t_stationary`` with u_t = 0.
+    The coordinates are formatted once per grid and t once per slice."""
+    u = getattr(result, "u", result)
     if isinstance(u, GridFn):
         u = SpaceTimeFn(u.grid, [t_stationary], u.values[None])
     grid = u.grid
@@ -494,9 +494,12 @@ def run(config_path, out_dir=".", seed=None, strict=False, verb="all"):
         if verb in ("solve", "all"):
             result, summary = _run_solve(cfg)
             report["solves"].append(_jsonify(summary))
-            if "csv" in out_paths and hasattr(result, "u"):
+            if "csv" in out_paths:
+                t_slice = (cfg["solver"]["semigroup_duration"]
+                           if cfg["mode"] == "semigroup"
+                           else cfg["spec"].time_window[1])
                 emit_csv(result, os.path.join(out_dir, out_paths["csv"]),
-                         t_stationary=cfg["spec"].time_window[1])
+                         t_stationary=t_slice)
             if cfg["mode"] == "cauchy":
                 solve_cache["cauchy"] = result
 

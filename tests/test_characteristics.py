@@ -207,6 +207,21 @@ def test_gauge_dt_transforms():
     assert np.allclose(v.dt_values[1], expect, atol=1e-15)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_gauges_callable_constant_matches_constant(d):
+    # the callable branches integrate b0 and c0 from 0 by composite midpoint
+    g = SpaceGrid(d, 2.0, 33)  # h = 0.125
+    u = bump_spacetime(g, [-0.5, 0.0, 0.5, 1.0])
+    b0 = np.array([0.5, -0.25][:d])
+    for const, fn, gauge in [
+            (b0, lambda t: b0, gauge_translate),
+            (2.0, lambda t: np.full(np.shape(t), 2.0), gauge_exp)]:
+        want, got = gauge(u, const), gauge(u, fn)
+        np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.dt_values, want.dt_values, rtol=0,
+                                   atol=1e-12)
+
+
 # -- moving cutoff ------------------------------------------------------------
 
 def test_cutoff_plateau_and_support():

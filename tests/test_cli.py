@@ -207,22 +207,30 @@ def test_schema_document_names_every_key(tmp_path, monkeypatch):
     assert not missing, f"keys missing from docs/config_schema.md: {missing}"
 
 
-def test_elliptic_mode_writes_report_and_stationary_csv(tmp_path):
-    cfg = write_cfg(tmp_path, {"mode": "elliptic", "problem.f": "exp(-x1^2)",
+@pytest.mark.parametrize("mode, sup_key, solver, t", [
+    ("elliptic", "sup_u", {}, "1.0"),
+    # the semigroup's slice T_t g is labelled with its duration t
+    ("semigroup", "sup_output", {"semigroup_duration": 0.5}, "0.5"),
+], ids=["elliptic", "semigroup"])
+def test_stationary_modes_write_report_and_one_slice_csv(tmp_path, mode,
+                                                         sup_key, solver, t):
+    cfg = write_cfg(tmp_path, {"mode": mode, "problem.f": "exp(-x1^2)",
+                               "problem.g": "exp(-x1^2)", "solver": solver,
                                "suites": []})
     out = str(tmp_path / "out")
     assert main(["all", "--config", cfg, "--out", out]) == 0
     rep = read_report(out)
-    assert rep["solves"][0]["mode"] == "elliptic"
+    assert rep["solves"][0]["mode"] == mode
+    assert "'solution.csv'" in (tmp_path / "out" / "plots.gp").read_text()
     with open(os.path.join(out, "solution.csv")) as fh:
         header = fh.readline().strip()
         rows = [line.split(",") for line in fh.read().splitlines()]
     assert header == "t,x1,u,ut,grad_norm,hess_trace"
     # one slice at t = S with u_t = 0
     assert len(rows) == MINIMAL["grid"]["n"]
-    assert {r[0] for r in rows} == {"1.0"}
+    assert {r[0] for r in rows} == {t}
     assert {r[3] for r in rows} == {"0.0"}
-    assert max(abs(float(r[2])) for r in rows) == rep["solves"][0]["sup_u"]
+    assert max(abs(float(r[2])) for r in rows) == rep["solves"][0][sup_key]
 
 
 @pytest.mark.parametrize("patch", [
@@ -236,6 +244,7 @@ def test_elliptic_mode_writes_report_and_stationary_csv(tmp_path):
     {"solver": {"lin_tol": -1}},
     {"solver": {"lin_tol": 0}},
     {"solver": {"theta": True}},
+    {"suites": [{"name": "time_holder", "window": [0.9, 0.1]}]},
 ])
 def test_bad_option_values_exit_3_with_report(tmp_path, patch):
     cfg = write_cfg(tmp_path, patch)

@@ -1,7 +1,10 @@
 """Accumulated diffusion, Gaussian kernel, potential, semigroup, mollifier."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import ndimage
 from scipy.integrate import quad
 
@@ -54,8 +57,10 @@ def test_accumulate_analytic_quadrature():
 
 
 def test_accumulate_rejects_reversed_times():
-    with pytest.raises(NumericalError):
-        accumulate_A(TimeMatrixPath.identity(1), 1.0, 1.0)
+    # non-finite times too: the lattice would double its span forever
+    for s, t in [(1.0, 1.0), (0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)]:
+        with pytest.raises(NumericalError):
+            accumulate_A(TimeMatrixPath.identity(1), s, t)
 
 
 def test_additivity_to_rounding():
@@ -70,22 +75,63 @@ def test_additivity_to_rounding():
         assert np.max(np.abs(whole - parts)) <= 1e-12
 
 
-def test_rising_times_rebuild_lattice_rarely(monkeypatch):
-    # the cumulative lattice grows with headroom, and A(s, t) from the warm
-    # cache equals a fresh cache's bit for bit
-    path = TimeMatrixPath.make(1, [["(1.5+0.5*sin(3*t))*(1+step(t-0.7))"]],
-                               [0.7])
+# a path with breakpoints on both sides of 0
+PATH_2D_BREAKS = TimeMatrixPath.make(
+    2, [["1.2+0.3*sin(2*t)+0.5*step(t+0.3)", "0.4*cos(t)"],
+        ["0.4*cos(t)", "(1+0.2*t^2)*(1+step(t-0.6))"]], [-0.3, 0.6])
+HISTORY_PATHS = [
+    TimeMatrixPath.make(1, [["1.5+0.5*sin(3*t)"]]),
+    TimeMatrixPath.make(1, [["(1.5+0.5*sin(3*t))*(1+step(t-0.7))"]], [0.7]),
+    PATH_2D_BREAKS,
+]
+history_time = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(HISTORY_PATHS),
+       st.lists(st.tuples(history_time, history_time), max_size=12),
+       st.tuples(history_time, history_time))
+def test_accumulated_diffusion_does_not_depend_on_earlier_calls(
+        path, history, query):
+    # A(s, t) from a cold cache equals, byte for byte, A(s, t) after any
+    # sequence of earlier calls: rising, falling or negative times
+    s, t = sorted(query)
+    assume(t - s > 1e-9)
+    with patch.dict(kernel._CUM_CACHE, clear=True):
+        cold = accumulate_A(path, s, t)
+    with patch.dict(kernel._CUM_CACHE, clear=True):
+        for a, b in history:
+            if abs(b - a) > 1e-9:
+                accumulate_A(path, min(a, b), max(a, b))
+        warm = accumulate_A(path, s, t)
+    assert warm.A.tobytes() == cold.A.tobytes()
+    assert warm.B.tobytes() == cold.B.tobytes()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["rising", "falling"])
+def test_lattice_rebuilds_rarely(monkeypatch, sign):
+    # the lattice doubles its span when |tau| reaches it, at both ends
     builds = []
     build = kernel._canonical_edges
     monkeypatch.setattr(kernel, "_canonical_edges",
                         lambda *args: builds.append(args) or build(*args))
     monkeypatch.setattr(kernel, "_CUM_CACHE", {})
     ts = np.linspace(0.01, 2.5, 300)
-    warm = [accumulate_A(path, 0.4 * t, t).A for t in ts]
+    for t in ts:
+        s, r = sorted((0.4 * sign * t, sign * t))
+        accumulate_A(PATH_2D_BREAKS, s, r)
     assert len(builds) <= np.log2(ts[-1] / ts[0]) + 2
-    for t, a_warm in zip(ts, warm):
-        kernel._CUM_CACHE.clear()
-        assert accumulate_A(path, 0.4 * t, t).A.tobytes() == a_warm.tobytes()
+
+
+def test_path_undefined_below_zero_serves_nonnegative_times():
+    # sqrt(t) fails below 0, so nonnegative times must never evaluate a
+    # there; the midpoint error near the sqrt singularity is O(dt^1.5)
+    path = TimeMatrixPath.make(1, [["1+sqrt(t)"]])
+    assert accumulate_A(path, 0.0, 1.0).A[0, 0] == pytest.approx(5.0 / 3.0,
+                                                                 abs=1e-5)
+    u = model_solution(path, parse_expr("exp(-x1^2)"), [0.0, 0.5],
+                       SpaceGrid(1, 6.0, 33), 1.0, n_time_sub=4)
+    assert np.all(np.isfinite(u.values))
 
 
 def test_accumulated_bounds():
@@ -228,10 +274,8 @@ def multi_cells(path, times, t_end, n_sub):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_potential_multi_matches_per_cell_ndimage_sum(d):
     path, grid, f = multi_case(d)
-    kernel._CUM_CACHE.clear()
     got = kernel.potential_G_multi(path, f, MULTI_TIMES, grid, 1.0,
                                    n_time_sub=3, f_breakpoints=MULTI_BREAKS)
-    kernel._CUM_CACHE.clear()
     ref = np.zeros((len(MULTI_TIMES),) + grid.shape)
     for k, s, r, w in multi_cells(path, MULTI_TIMES, 1.0, 3):
         weights = kernel._kernel_weights(accumulate_A(path, s, r), grid.h,
@@ -244,10 +288,8 @@ def test_potential_multi_matches_per_cell_ndimage_sum(d):
 
 def test_potential_multi_equals_per_time_potential_bitwise():
     path, grid, f = multi_case(2)
-    kernel._CUM_CACHE.clear()
     multi = kernel.potential_G_multi(path, f, MULTI_TIMES, grid, 1.0,
                                      n_time_sub=3, f_breakpoints=MULTI_BREAKS)
-    kernel._CUM_CACHE.clear()
     single = np.stack([potential_G(path, f, s, grid, 1.0, n_time_sub=3,
                                    f_breakpoints=MULTI_BREAKS).values
                        for s in MULTI_TIMES])
