@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import NumericalError, SpecError
 from .expr import evaluate
@@ -234,71 +233,77 @@ def _drift_profile(b0, d):
     return True, arr
 
 
-def _cumulative(values_at, t, n_per_unit=512):
-    """Integral over (0, t) by composite midpoint, sign-aware: ``values_at``
-    maps the n midpoints to values of shape (n,) or (n, d), summed along
-    the first axis."""
-    lo, hi = (0.0, t) if t > 0 else (t, 0.0)
-    n = max(1, int(np.ceil((hi - lo) * n_per_unit)))
-    mids = lo + (np.arange(n) + 0.5) * (hi - lo) / n
+def _cumulative(values_at, times, n_per_unit=512):
+    """Integrals over (0, t) for every t in ``times`` by composite midpoint,
+    sign-aware.  The knots are the sorted {0} U times; each gap between
+    them gets ceil(length * n_per_unit) cells, ``values_at`` maps all the
+    midpoints at once to values of shape (n,) or (n, d), and the gap
+    integrals are summed outwards from 0."""
+    times = np.asarray(times, dtype=float)
+    knots = np.unique(np.append(times, 0.0))
+    lengths = np.diff(knots)
+    counts = np.ceil(lengths * n_per_unit).astype(int)
+    starts = np.cumsum(counts) - counts
+    gap = np.repeat(np.arange(len(counts)), counts)
+    widths = lengths / counts
+    mids = knots[gap] + (np.arange(gap.size) - starts[gap] + 0.5) * widths[gap]
     vals = np.asarray(values_at(mids), dtype=float)
-    total = vals.sum(axis=0) * (hi - lo) / n
-    return total if t > 0 else -total
+    incr = np.add.reduceat(vals, starts, axis=0) \
+        * widths.reshape((-1,) + (1,) * (vals.ndim - 1))
+    k0 = int(np.searchsorted(knots, 0.0))
+    cum = np.zeros((len(knots),) + vals.shape[1:])
+    cum[k0 + 1:] = np.cumsum(incr[k0:], axis=0)
+    cum[:k0] = -np.cumsum(incr[:k0][::-1], axis=0)[::-1]
+    return cum[np.searchsorted(knots, times)]
 
 
 def _shift_slice(values, shift_nodes, grid):
-    """values(x + shift); exact re-indexing for integer node shifts, linear
-    interpolation otherwise; nodes leaving the box become NaN."""
-    d = grid.d
-    rounded = np.rint(shift_nodes)
-    if np.all(np.abs(shift_nodes - rounded) < 1e-9):
-        out = np.full(values.shape, np.nan)
-        src = [slice(None)] * d
-        dst = [slice(None)] * d
-        ok = True
-        for ax in range(d):
-            m = int(rounded[ax])
-            if abs(m) >= grid.n:
-                ok = False
-                break
-            if m >= 0:
-                dst[ax] = slice(0, grid.n - m)
-                src[ax] = slice(m, grid.n)
-            else:
-                dst[ax] = slice(-m, grid.n)
-                src[ax] = slice(0, grid.n + m)
-        if ok:
-            out[tuple(dst)] = values[tuple(src)]
-        return out
-    coords = np.meshgrid(*[np.arange(grid.n, dtype=float)] * d, indexing="ij")
-    coords = [c + shift_nodes[ax] for ax, c in enumerate(coords)]
-    return ndimage.map_coordinates(values, coords, order=1, mode="constant",
-                                   cval=np.nan)
+    """values(x + shift) by linear interpolation one axis at a time; a node
+    whose source position leaves [0, n - 1] on some axis becomes NaN.  When
+    every shift is within 1e-9 of a whole node they are all rounded, so the
+    step re-indexes bitwise."""
+    shift = np.asarray(shift_nodes, dtype=float)
+    if np.all(np.abs(shift - np.rint(shift)) < 1e-9):
+        shift = np.rint(shift)
+    n = grid.n
+    out = values
+    for ax in range(grid.d):
+        pos = np.arange(n) + shift[ax]
+        lo = np.clip(np.floor(pos), 0, n - 1).astype(int)
+        col = (n,) + (1,) * (grid.d - 1 - ax)  # broadcasts along axis ax
+        w = (pos - lo).reshape(col)
+        a = np.take(out, lo, axis=ax)
+        b = np.take(out, np.minimum(lo + 1, n - 1), axis=ax)
+        inside = ((pos >= 0) & (pos <= n - 1)).reshape(col)
+        out = np.where(inside, np.where(w == 0.0, a, (1.0 - w) * a + w * b),
+                       np.nan)
+    return out
 
 
 def gauge_translate(u, b0, n_per_unit=512):
     """v(t, x) = u(t, x + B(t)) with B(t) the cumulative drift from 0.
 
-    Grid-aligned shifts re-index bitwise; others interpolate linearly, and
-    nodes whose shifted position leaves the box are marked missing (NaN).
+    Grid-aligned shifts re-index bitwise; others interpolate linearly one
+    axis at a time, and nodes whose shifted position leaves the box are
+    marked missing (NaN).  A callable b0 is integrated once for all slices.
     The stored derivative transforms as v_t = (u_t + b0 . Du)(t, x + B(t)).
     """
     d = u.grid.d
     is_const, prof = _drift_profile(b0, d)
+    times = np.asarray(u.times, dtype=float)
+    if is_const:
+        shifts = prof * times[:, None]
+    else:
+        shifts = _cumulative(
+            lambda mids: np.reshape([prof(float(m)) for m in mids], (-1, d)),
+            times, n_per_unit)
     values = np.empty_like(u.values)
     dt_vals = np.empty_like(u.values) if u.has_dt else None
-    for k, t in enumerate(u.times):
-        if is_const:
-            b_here = prof
-            shift = prof * t
-        else:
-            b_here = prof(float(t))
-            shift = _cumulative(
-                lambda mids: np.stack([prof(float(m)) for m in mids]),
-                float(t), n_per_unit)
-        shift_nodes = shift / u.grid.h
+    for k, t in enumerate(times):
+        shift_nodes = shifts[k] / u.grid.h
         values[k] = _shift_slice(u.values[k], shift_nodes, u.grid)
         if dt_vals is not None:
+            b_here = prof if is_const else prof(float(t))
             slice_fn = GridFn(u.grid, u.values[k])
             grads = fd_gradient(slice_fn)
             w = u.dt_values[k] + sum(b_here[i] * grads[i].values for i in range(d))
@@ -322,12 +327,11 @@ def gauge_exp(u, c0, n_per_unit=512):
         raise SpecError("exponential gauge needs a nonnegative potential")
     values = np.empty_like(u.values)
     dt_vals = np.empty_like(u.values) if u.has_dt else None
-    for k, t in enumerate(u.times):
-        if callable(c0):
-            big_c = _cumulative(c_arr, float(t), n_per_unit)
-        else:
-            big_c = c_val * float(t)
-        scale = np.exp(-big_c)
+    times = np.asarray(u.times, dtype=float)
+    big_c = (_cumulative(c_arr, times, n_per_unit) if callable(c0)
+             else c_val * times)
+    for k, t in enumerate(times):
+        scale = np.exp(-big_c[k])
         values[k] = scale * u.values[k]
         if dt_vals is not None:
             dt_vals[k] = scale * (u.dt_values[k] - c_at(float(t)) * u.values[k])

@@ -11,10 +11,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
-from scipy.integrate import quad
 
-from .coeffspec import _as_node, sym_eigvals
+from .coeffspec import _as_node, _eig_bounds_many, sym_eigvals
 from .errors import NumericalError, SpecError
 from .expr import ExprNode, Num, evaluate, max_x_index, to_string
 from .holder import GridFn, SpaceTimeFn, _field_slice, fd_laplacian
@@ -22,7 +20,7 @@ from .holder import GridFn, SpaceTimeFn, _field_slice, fd_laplacian
 __all__ = [
     "TimeMatrixPath", "GaussParams", "accumulate_A", "gauss_kernel",
     "kernel_on_grid", "potential_G", "potential_G_multi", "fourier_oracle_1d",
-    "heat_semigroup", "mollify", "heat_solve", "bump_normalizer",
+    "heat_semigroup", "mollify", "heat_solve",
 ]
 
 
@@ -74,12 +72,10 @@ class TimeMatrixPath:
         lo, hi = np.inf, 0.0
         for a0, a1 in zip(cuts[:-1], cuts[1:]):
             ts = a0 + (np.arange(n_samples) + 0.5) / n_samples * (a1 - a0)
-            mats = self.eval(ts)  # (d, d, n)
-            for k in range(n_samples):
-                w = sym_eigvals(mats[:, :, k])
-                lo = min(lo, w[0])
-                hi = max(hi, w[-1])
-        return float(lo), float(hi)
+            lam_min, lam_max = _eig_bounds_many(self.eval(ts))  # (d, d, n)
+            lo = min(lo, float(np.min(lam_min)))
+            hi = max(hi, float(np.max(lam_max)))
+        return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -452,36 +448,17 @@ def heat_semigroup(fn, tau):
     w /= np.sum(w)
     out = fn.values
     for axis in range(grid.d):
-        out = ndimage.convolve1d(out, w, axis=axis, mode="nearest")
+        pad = [(m, m) if ax == axis else (0, 0) for ax in range(grid.d)]
+        out = sliding_window_view(np.pad(out, pad, mode="edge"), 2 * m + 1,
+                                  axis=axis) @ w
     return GridFn(grid, out)
 
 
-_BUMP_NORM = {}
-
-
-def bump_normalizer(d):
-    """Constant c_d with integral over the unit ball of
-    c_d exp(-1/(1-|x|^2)) equal to 1, by quadrature."""
-    if d not in _BUMP_NORM:
-        if d == 1:
-            val, _ = quad(lambda r: np.exp(-1.0 / (1.0 - r * r)), -1.0, 1.0)
-        elif d == 2:
-            val, _ = quad(lambda r: 2.0 * np.pi * r * np.exp(-1.0 / (1.0 - r * r)),
-                          0.0, 1.0)
-        else:
-            val, _ = quad(lambda r: 4.0 * np.pi * r * r * np.exp(-1.0 / (1.0 - r * r)),
-                          0.0, 1.0)
-        _BUMP_NORM[d] = 1.0 / val
-    return _BUMP_NORM[d]
-
-
 def mollify(fn, eps):
-    """Convolution with the compactly supported bump
-    zeta_eps(x) = eps^(-d) c_d exp(-1/(1-|x/eps|^2)) on |x| < eps.
-
-    Discrete weights are renormalized to unit mass, so constants are
-    preserved exactly.  When eps is below the grid spacing the stencil
-    degenerates to the identity.
+    """Convolution with the compactly supported bump exp(-1/(1-|x/eps|^2))
+    on |x| < eps, its node weights normalized to unit mass, so constants
+    are preserved exactly (edge values replicate outwards).  When eps is
+    below the grid spacing the stencil degenerates to the identity.
     """
     if eps <= 0:
         raise SpecError("mollification radius must be positive")
@@ -492,14 +469,11 @@ def mollify(fn, eps):
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     r2 = np.sum(mesh ** 2, axis=-1) / eps ** 2
     w = np.zeros(r2.shape)
-    inside = r2 < 1.0
-    w[inside] = bump_normalizer(grid.d) * np.exp(-1.0 / (1.0 - r2[inside])) \
-        / eps ** grid.d * h ** grid.d
-    total = np.sum(w)
-    if total <= 0.0:
-        return fn.copy()
-    w = w / total
-    return GridFn(grid, ndimage.convolve(fn.values, w, mode="nearest"))
+    inside = r2 < 1.0  # always holds the centre node
+    w[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+    w /= np.sum(w)
+    out = _convolve(np.pad(fn.values, m, mode="edge"), w)
+    return GridFn(grid, out[(slice(m, m + grid.n),) * grid.d])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from schauderlab import characteristics
 from schauderlab.characteristics import (cutoff_eta, flow, freeze,
                                          gauge_exp, gauge_translate,
                                          particular_u0, smoothstep_bump)
@@ -220,6 +222,77 @@ def test_gauges_callable_constant_matches_constant(d):
         np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got.dt_values, want.dt_values, rtol=0,
                                    atol=1e-12)
+
+
+CUMULATIVE_TIMES = {
+    "33-slices": np.linspace(0.0, 4.0, 33),
+    "both-signs": np.array([-0.5, 0.0, 0.5, 1.0]),
+    "no-zero": np.array([-1.3, -0.31, 0.07, 0.77, 2.1]),
+    "zero-only": np.array([0.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(CUMULATIVE_TIMES))
+def test_gauge_translate_integrates_callable_drift_once(case):
+    # one midpoint lattice over the knots {0} U times serves every slice
+    times = CUMULATIVE_TIMES[case]
+    g = SpaceGrid(1, 4.0, 65)
+    u = bump_spacetime(g, times)
+    u = SpaceTimeFn(grid=g, times=u.times, values=u.values)
+    calls = []
+
+    def b0(t):
+        calls.append(t)
+        return 0.5 + 0.25 * t
+
+    v = gauge_translate(u, b0, n_per_unit=512)
+    span = max(times.max(), 0.0) - min(times.min(), 0.0)
+    assert len(calls) <= int(np.ceil(512 * span)) + len(times)
+    # midpoint sums are exact for a linear drift: B(t) = t/2 + t^2/8
+    exact = 0.5 * times + 0.125 * times ** 2
+    got = characteristics._cumulative(
+        lambda mids: np.reshape([b0(m) for m in mids], (-1, 1)), times)
+    np.testing.assert_allclose(got[:, 0], exact, rtol=0, atol=1e-12)
+    for k in range(len(times)):
+        np.testing.assert_array_equal(v.values[k], characteristics._shift_slice(
+            u.values[k], got[k] / g.h, g))
+
+
+SHIFT_CASES = [
+    (1, (3.0,)), (1, (-2.0,)), (1, (70.0,)), (1, (1e-12,)), (1, (0.5,)),
+    (1, (-3.25,)), (1, (8.999,)),
+    (2, (2.0, -3.0)), (2, (0.5, -1.25)), (2, (0.3, 40.0)), (2, (-1.0, 0.75)),
+    (3, (1.0, -2.0, 0.0)), (3, (1e-12, 0.5, 0.5)), (3, (-0.75, 0.25, 1.5)),
+    (3, (1e-12, -1.0, 2.0 + 1e-11)),
+]
+
+
+@pytest.mark.parametrize("d, shift", SHIFT_CASES)
+def test_shift_slice_matches_map_coordinates(d, shift):
+    # linear interpolation one axis at a time against scipy's multilinear
+    # map_coordinates; nodes whose source leaves the box are NaN in both
+    n = {1: 17, 2: 11, 3: 9}[d]
+    g = SpaceGrid(d, 2.0, n)
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=g.shape)
+    shift = np.array(shift)
+    got = characteristics._shift_slice(values, shift, g)
+    whole = np.all(np.abs(shift - np.rint(shift)) < 1e-9)
+    if whole:
+        shift = np.rint(shift)  # shifts within 1e-9 of whole nodes re-index
+    coords = np.meshgrid(*[np.arange(n, dtype=float)] * d, indexing="ij")
+    ref = ndimage.map_coordinates(
+        values, [c + s for c, s in zip(coords, shift)], order=1,
+        mode="constant", cval=np.nan)
+    assert np.array_equal(np.isnan(got), np.isnan(ref))
+    if whole:
+        # every value is a bitwise copy of a source node
+        src = (np.stack(coords, axis=-1) + shift).astype(int)
+        ok = ~np.isnan(got)
+        assert got[ok].tobytes() == values[tuple(src[ok].T)].tobytes()
+    else:
+        ok = ~np.isnan(ref)
+        assert np.max(np.abs(got[ok] - ref[ok]), initial=0.0) <= 1e-14
 
 
 # -- moving cutoff ------------------------------------------------------------

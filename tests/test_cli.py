@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import schauderlab
 from schauderlab.cli import (SCHEMA_VERSION, SOLVER_DEFAULTS, load_config,
                              main, run)
 from schauderlab.errors import ConfigError
@@ -251,3 +254,15 @@ def test_bad_option_values_exit_3_with_report(tmp_path, patch):
     out = str(tmp_path / "out")
     assert main(["all", "--config", cfg, "--out", out]) == 3
     assert read_report(out)["error"]["kind"] == "config"
+
+
+def test_import_loads_no_ndimage_or_integrate():
+    # at runtime the lab needs numpy and scipy.sparse only
+    src = os.path.dirname(os.path.dirname(schauderlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    code = ("import sys, schauderlab; print(' '.join(m for m in "
+            "('scipy.ndimage', 'scipy.integrate') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ""

@@ -432,6 +432,35 @@ def test_mollify_contracts_seminorm_interior():
     assert sem_in <= sem_f + 1e-12
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("op, scale", [("heat", 0.01), ("heat", 1.0),
+                                       ("mollify", 0.7), ("mollify", 0.05)])
+def test_smoothers_match_ndimage_nearest(d, op, scale):
+    # edge-replicating references: per-axis convolve1d for the separable
+    # semigroup, one d-dimensional convolve for the bump
+    g = SpaceGrid(d, 2.0, {1: 65, 2: 33, 3: 13}[d])
+    fn = GridFn(g, np.random.default_rng(d).normal(size=g.shape))
+    if op == "heat":
+        got = heat_semigroup(fn, scale).values
+        m = int(np.floor(min(8.0 * np.sqrt(2.0 * scale), 2.0 * g.radius)
+                         / g.h + 1e-12))
+        w = np.exp(-(np.arange(-m, m + 1) * g.h) ** 2 / (4.0 * scale))
+        ref = fn.values
+        for axis in range(d):
+            ref = ndimage.convolve1d(ref, w / np.sum(w), axis=axis,
+                                     mode="nearest")
+    else:
+        got = mollify(fn, scale).values
+        m = int(np.floor(scale / g.h))
+        offsets = np.meshgrid(*[np.arange(-m, m + 1) * g.h] * d, indexing="ij")
+        r2 = sum(o ** 2 for o in offsets) / scale ** 2
+        w = np.zeros(r2.shape)
+        w[r2 < 1.0] = np.exp(-1.0 / (1.0 - r2[r2 < 1.0]))
+        ref = ndimage.convolve(fn.values, w / np.sum(w), mode="nearest")
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 # -- heat equation ----------------------------------------------------------
 
 def test_heat_solve_zero_data():
